@@ -230,10 +230,11 @@ let print_distribution () =
 
 (* E14: the scale-out execution engine.  Each row times the complete
    simulation — partition construction plus communication-free
-   execution (validation off: both engines then measure pure simulated
-   execution throughput) — under three configurations: the materialized
-   Iter_partition + string-keyed baseline, the closed-form Coset index
-   on one domain, and the same fanned out over all domains.  Large
+   execution (validation off: both executors then measure pure
+   simulated execution throughput) — under three configurations: the
+   materialized Iter_partition reference executor of cf_check
+   (baseline), the engine over the closed-form Coset index on one
+   domain, and the same fanned out over all domains.  Large
    instances skip the baseline (materializing 128³-class partitions is
    exactly what the indexed engine exists to avoid). *)
 
@@ -264,17 +265,33 @@ let time2 f =
   let _, t2 = time f in
   (r, Float.min t1 t2)
 
-(* --json-dir DIR routes every BENCH_*.json artifact into DIR (created
-   if missing).  Default is the working directory — where the committed
-   baselines live — so CI can write fresh results elsewhere and diff
-   them against the checked-in files. *)
-let json_dir =
-  let rec find i =
-    if i + 1 >= Array.length Sys.argv then None
-    else if Sys.argv.(i) = "--json-dir" then Some Sys.argv.(i + 1)
-    else find (i + 1)
+(* The command line: mode flags plus --json-dir DIR, which routes every
+   BENCH_*.json artifact into DIR (created if missing).  Default is the
+   working directory — where the committed baselines live — so CI can
+   write fresh results elsewhere and diff them against the checked-in
+   files.  Anything else, or --json-dir without a value, prints the
+   usage and exits 2 rather than silently running the whole suite. *)
+let mode_flags =
+  [ "--quick"; "--scale"; "--service"; "--faults"; "--obs"; "--check";
+    "--mincomm"; "--normalize"; "--server"; "--probe" ]
+
+let flags, json_dir =
+  let usage () =
+    Printf.eprintf "usage: %s [%s] [--json-dir DIR]\n"
+      (Filename.basename Sys.argv.(0))
+      (String.concat "] [" mode_flags);
+    exit 2
   in
-  find 1
+  let rec parse flags dir = function
+    | [] -> (flags, dir)
+    | "--json-dir" :: d :: rest when not (String.starts_with ~prefix:"-" d) ->
+      parse flags (Some d) rest
+    | f :: rest when List.mem f mode_flags -> parse (f :: flags) dir rest
+    | _ -> usage ()
+  in
+  parse [] None (List.tl (Array.to_list Sys.argv))
+
+let flag f = List.mem f flags
 
 let json_file name =
   match json_dir with
@@ -301,7 +318,7 @@ let scale_case ~with_baseline ~workload ~psi_label ~size nest psi =
             let machine = scale_machine () in
             let partition = Iter_partition.make nest psi in
             ignore
-              (Cf_exec.Parexec.execute ~validate:false ~machine ~placement
+              (Cf_check.Refexec.execute ~validate:false ~machine ~placement
                  ~strategy partition))
       in
       Some s
@@ -405,13 +422,15 @@ let print_scale_rows rows =
         | None -> "-")
         (iterations_per_sec r))
     rows;
-  (* One validated cross-check: identical reports from both engines. *)
+  (* One validated cross-check: identical reports from the reference
+     executor and the engine. *)
   let nest = Cf_exec.Matmul.nest ~m:12 in
   let psi = Strategy.partitioning_space Strategy.Duplicate nest in
   let placement = Cf_exec.Parexec.cyclic ~nprocs:scale_procs in
   let mb = scale_machine () and mi = scale_machine () in
   let base =
-    Cf_exec.Parexec.execute ~machine:mb ~placement ~strategy:Strategy.Duplicate
+    Cf_check.Refexec.execute ~machine:mb ~placement
+      ~strategy:Strategy.Duplicate
       (Iter_partition.make nest psi)
   in
   let indexed =
@@ -2154,16 +2173,16 @@ let run_server ~quick =
   soak_ok && shed_ok && latency_ok
 
 let () =
-  let quick = Array.exists (String.equal "--quick") Sys.argv in
-  let scale_only = Array.exists (String.equal "--scale") Sys.argv in
-  let service_only = Array.exists (String.equal "--service") Sys.argv in
-  let faults_only = Array.exists (String.equal "--faults") Sys.argv in
-  let obs_only = Array.exists (String.equal "--obs") Sys.argv in
-  let check_only = Array.exists (String.equal "--check") Sys.argv in
-  let mincomm_only = Array.exists (String.equal "--mincomm") Sys.argv in
-  let normalize_only = Array.exists (String.equal "--normalize") Sys.argv in
-  let server_only = Array.exists (String.equal "--server") Sys.argv in
-  if Array.exists (String.equal "--probe") Sys.argv then begin
+  let quick = flag "--quick" in
+  let scale_only = flag "--scale" in
+  let service_only = flag "--service" in
+  let faults_only = flag "--faults" in
+  let obs_only = flag "--obs" in
+  let check_only = flag "--check" in
+  let mincomm_only = flag "--mincomm" in
+  let normalize_only = flag "--normalize" in
+  let server_only = flag "--server" in
+  if flag "--probe" then begin
     probe ();
     exit 0
   end;

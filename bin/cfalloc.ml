@@ -350,14 +350,19 @@ let simulate_run level file strategy radius procs backend comm_mode fault_seed
   int_flag "fault-seed" fault_seed @@ fun seed ->
   int_flag "kill-pe" kill_pe @@ fun kill_pe ->
   int_flag "kill-after" kill_after @@ fun kill_after ->
-  int_flag "checkpoint-every" checkpoint_every @@ fun checkpoint_every ->
-  let checkpoint_every = Option.value checkpoint_every ~default:0 in
+  int_flag "checkpoint-every" checkpoint_every @@ fun cadence ->
+  let checkpoint_every = Option.value cadence ~default:0 in
   if checkpoint_every < 0 then begin
     Format.eprintf "error: --checkpoint-every must be >= 0@.";
     2
   end
   else
   match (seed, kill_pe, kill_after) with
+  (* Checkpoints exist only to recover from faults. *)
+  | _ when cadence <> None && seed = None && kill_pe = None ->
+    Format.eprintf
+      "error: --checkpoint-every requires --kill-pe or --fault-seed@.";
+    2
   | None, None, None ->
     handle (fun () ->
         each_nest file (fun nest ->
@@ -375,7 +380,7 @@ let simulate_run level file strategy radius procs backend comm_mode fault_seed
                 mc.Cf_mincomm.Mincomm.estimate.Cf_mincomm.Mincomm.messages);
             let sim =
               Cf_pipeline.Pipeline.simulate_serve ~backend ~procs ~comm_mode
-                ~checkpoint_every planned
+                planned
             in
             Format.printf "@[<v>%a@]@." Cf_exec.Parexec.pp_report
               sim.Cf_pipeline.Pipeline.report;
@@ -464,8 +469,8 @@ let simulate_cmd =
                    rounds (delta capture: only words written since the \
                    previous checkpoint), so a crash replays from the last \
                    checkpointed round.  Default 0: only the \
-                   post-distribution snapshot.  On fallback plans the \
-                   cadence is per $(docv) iterations instead.")
+                   post-distribution snapshot.  Requires --kill-pe or \
+                   --fault-seed.")
   in
   Cmd.v (Cmd.info "simulate" ~doc)
     Term.(const simulate_run $ logs_arg $ file_arg $ strategy_arg $ radius_arg

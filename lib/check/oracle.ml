@@ -82,8 +82,9 @@ let coset_parity nest =
   | Pass -> check_space Strategy.Duplicate
   | v -> v
 
-(* parexec-vs-seq: both parallel engines against the sequential golden
-   run, and against each other (identical per-PE iteration counts). *)
+(* parexec-vs-seq: the engine and the materialized reference executor
+   ({!Refexec}) against the sequential golden run, and against each
+   other (identical per-PE iteration counts). *)
 
 let parexec_vs_seq nest =
   let run strategy =
@@ -95,7 +96,7 @@ let parexec_vs_seq nest =
         Cf_machine.Cost.transputer
     in
     let r1 =
-      Cf_exec.Parexec.execute ?exact:plan.Cf_pipeline.Pipeline.exact
+      Refexec.execute ?exact:plan.Cf_pipeline.Pipeline.exact
         ~machine:(machine ()) ~placement ~strategy
         plan.Cf_pipeline.Pipeline.partition
     in
@@ -105,15 +106,15 @@ let parexec_vs_seq nest =
         ~domains:1 ~machine:(machine ()) ~placement ~strategy coset
     in
     if not (Cf_exec.Parexec.ok r1) then
-      failf "strategy %a: materialized engine diverges from sequential"
+      failf "strategy %a: reference executor diverges from sequential"
         Strategy.pp strategy
     else if not (Cf_exec.Parexec.ok r2) then
-      failf "strategy %a: indexed engine diverges from sequential" Strategy.pp
+      failf "strategy %a: engine diverges from sequential" Strategy.pp
         strategy
     else if
       r1.Cf_exec.Parexec.per_pe_iterations <> r2.Cf_exec.Parexec.per_pe_iterations
     then
-      failf "strategy %a: per-PE iteration counts differ between engines"
+      failf "strategy %a: per-PE iteration counts differ from the reference"
         Strategy.pp strategy
     else Pass
   in
@@ -495,7 +496,7 @@ let all =
       doc = "closed-form Coset index vs materialized Iter_partition";
       check = coset_parity };
     { name = "parexec-vs-seq";
-      doc = "both parallel engines vs the sequential interpreter";
+      doc = "engine and materialized reference vs the sequential interpreter";
       check = parexec_vs_seq };
     { name = "fault-recovery-identical";
       doc = "crash recovery reproduces the fault-free result";

@@ -18,6 +18,8 @@ type result = {
 
 let nest r = r.nest
 
+let analysis_limit = 100_000
+
 (* Per-statement reference sites, with reads first (they execute before
    the write of the same statement). *)
 let stmt_sites (t : Nest.t) =

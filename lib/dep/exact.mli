@@ -27,6 +27,13 @@ type computation = { stmt_index : int; iter : int array }
 
 type result
 
+val analysis_limit : int
+(** Largest iteration space (100,000 iterations) callers run {!analyze}
+    on by default: beyond it the minimal strategies, exact verification
+    and materialized partitions are flagged as likely too slow
+    ([Diagnose]) and skipped when ranking fallback candidates
+    ([Mincomm]). *)
+
 val analyze : ?max_events:int -> Nest.t -> result
 (** Raises [Invalid_argument] when the abstract execution would produce
     more than [max_events] (default 2_000_000) reference events. *)

@@ -100,6 +100,11 @@ let max_rank t =
         sp.reads)
     0 t.stmts
 
+let sites t = Array.map (fun sp -> Array.append [| sp.lhs |] sp.reads) t.stmts
+
+let scratch sites =
+  Array.map (Array.map (fun s -> Array.make (Site.rank s) 0)) sites
+
 type flat = {
   f_lo : int array;
   f_extents : int array;

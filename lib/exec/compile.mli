@@ -73,6 +73,13 @@ val max_rank : program -> int
 (** Largest subscript arity of any site (0 for an impossible empty
     body); arities above 7 exceed the packed-coordinate fast path. *)
 
+val sites : program -> Site.t array array
+(** Every access site of each statement: the lhs first, then the reads
+    in {!stmt_sites} order. *)
+
+val scratch : Site.t array array -> int array array array
+(** One {!Site.eval_into} buffer per site, sized to its rank. *)
+
 type flat = {
   f_lo : int array;
   f_extents : int array;

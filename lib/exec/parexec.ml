@@ -27,13 +27,13 @@ type report = {
 
 let ok r = r.remote_access = None && r.mismatches = []
 
-(* Accessor target over PE [pe]'s chunks for one block's copy arrays:
-   each factory resolves the chunk once ({!Machine.reader} and friends),
-   so the compiled kernels touch local memory with no per-access map
-   lookup.  Slots whose copy array was never stored anywhere ([None]
-   aid) fail lazily with the same {!Machine.Remote_access} the
-   interpreted engine raises on its [aid_of] miss. *)
-let bind_target machine ~pe ~copy_aids ~name =
+(* Accessor target over PE [pe]'s chunks for one copy set: each factory
+   resolves the chunk once ({!Machine.reader} and friends), so the
+   compiled kernels touch local memory with no per-access map lookup.
+   Slots whose copy array was never stored anywhere ([None] aid) fail
+   lazily with the same {!Machine.Remote_access} the interpreted body
+   raises. *)
+let machine_target machine ~pe ~copy_aids ~name =
   let miss slot el =
     raise (Machine.Remote_access { pe; array = name slot; element = el })
   in
@@ -90,319 +90,103 @@ let bind_target machine ~pe ~copy_aids ~name =
    allocation must place for one surviving statement instance.  The lhs
    leads; structurally equal references cover the same footprint, so
    each contributes once. *)
-let distinct_sites stmts =
+let distinct_sites prog =
   Array.map
-    (fun (sp : Compile.stmt_sites) ->
-      let sites = ref [ sp.Compile.lhs ] in
-      Array.iter
-        (fun (s : Compile.Site.t) ->
-          if
-            not
-              (List.exists
+    (fun sites ->
+      Array.of_list
+        (Array.fold_left
+           (fun acc (s : Compile.Site.t) ->
+             if
+               List.exists
                  (fun (s' : Compile.Site.t) ->
                    Aref.equal s'.Compile.Site.aref s.Compile.Site.aref)
-                 !sites)
-          then sites := s :: !sites)
-        sp.Compile.reads;
-      Array.of_list (List.rev !sites))
-    stmts
+                 acc
+             then acc
+             else acc @ [ s ])
+           [] sites))
+    (Compile.sites prog)
 
-let site_scratch sites_per_stmt =
-  Array.map
-    (Array.map (fun (s : Compile.Site.t) ->
-         Array.make (Compile.Site.rank s) 0))
-    sites_per_stmt
-
-(* Fallback for a [Read] node not physically shared with the compiled
-   sites (never fires in practice: [Stmt.reads] returns the rhs nodes
-   themselves). *)
-let eval_ref idx (r : Aref.t) iter =
-  let h, c = Aref.matrix idx r in
-  Array.init (Array.length c) (fun p ->
-      let row = h.(p) in
-      let acc = ref c.(p) in
-      for q = 0 to Array.length row - 1 do
-        acc := !acc + (row.(q) * iter.(q))
-      done;
-      !acc)
-
-let execute ?(backend = `Compiled) ?(init = Seqexec.default_init)
-    ?(scalar = Seqexec.default_scalar) ?exact ?(allocate = true)
-    ?(charge_distribution = false) ?(validate = true) ~machine ~placement
-    ~strategy partition =
-  if Machine.faults machine <> None then
-    invalid_arg "Parexec.execute: fault plans require execute_indexed";
-  let nest = Iter_partition.nest partition in
-  let minimal = Strategy.uses_exact_analysis strategy in
-  let exact =
-    match exact with
-    | Some e -> Some e
-    | None -> if minimal then Some (Cf_dep.Exact.analyze nest) else None
+(* The first-touch home rule: walking the iteration space in sequential
+   (iteration, statement, write-before-reads) order, an element's home
+   is the PE [pe_of iter] of its first access.  Per array slot, packed
+   coordinates to home PE. *)
+let first_touch_homes ~pe_of prog nest =
+  let sites = Compile.sites prog in
+  let scratch = Compile.scratch sites in
+  let homes =
+    Array.map (fun _ -> (Hashtbl.create 64 : (int, int) Hashtbl.t))
+      (Compile.arrays prog)
   in
-  let keep_opt =
-    match exact with
-    | Some e when minimal ->
-      Some
-        (fun ~stmt_index iter ->
-          not (Cf_dep.Exact.is_redundant e ~stmt_index iter))
-    | _ -> None
-  in
-  let keep ~stmt_index iter =
-    match keep_opt with Some f -> f ~stmt_index iter | None -> true
-  in
-  let nprocs = Topology.size (Machine.topology machine) in
-  let block_pe j =
-    let pe = placement j in
-    if pe < 0 || pe >= nprocs then
-      invalid_arg "Parexec.execute: placement outside the machine";
-    pe
-  in
-  (* Allocation: walk every (surviving) access and give its element a
-     local copy on the accessing block's processor.  Copies are
-     block-local (the data blocks B^A_j are separate chunks of local
-     memory): two blocks sharing a processor must not share cells, since
-     anti/output dependences between them can point both ways and no
-     block execution order would then be safe.  When the caller
-     distributes data itself ([allocate = false]), plain per-processor
-     names are used — the caller guarantees shared elements are
-     read-only or block-exclusive (true of the paper's matmul
-     distributions). *)
-  let key block array =
-    if allocate then array ^ "#" ^ string_of_int block else array
-  in
-  let prog = Compile.make nest in
-  let arr_names = Compile.arrays prog in
-  let stmts = Compile.stmts prog in
-  let nstmts = Array.length stmts in
-  let lslots =
-    Array.map
-      (fun (sp : Compile.stmt_sites) -> sp.Compile.lhs.Compile.Site.slot)
-      stmts
-  in
-  let idx = Nest.indices nest in
-  let pos = Hashtbl.create 8 in
-  Array.iteri (fun k v -> Hashtbl.replace pos v k) idx;
-  let body = Array.of_list nest.Nest.body in
-  (* Copy names are per (block, slot), not per access: memoize them so
-     the allocation walk builds each string once. *)
-  let block_names = Hashtbl.create 64 in
-  let names_of block =
-    match Hashtbl.find_opt block_names block with
-    | Some a -> a
-    | None ->
-      let a = Array.map (key block) arr_names in
-      Hashtbl.replace block_names block a;
-      a
-  in
-  (* Collect the per-(processor, copy) element sets first, then place
-     them: either free of charge, or as one pipelined host message per
-     copy when the caller wants distribution accounted.  Elements are
-     deduplicated by packed coordinates into per-site scratch — the walk
-     allocates only for genuinely new elements. *)
-  if allocate then begin
-    let needed : (int * string, (int, int array * int) Hashtbl.t) Hashtbl.t =
-      Hashtbl.create 64
-    in
-    let alloc_sites = distinct_sites stmts in
-    let scratch = site_scratch alloc_sites in
-    Nest.iter_space nest (fun iter ->
-        let block = Iter_partition.block_id_of_iteration partition iter in
-        let pe = block_pe block in
-        let names = names_of block in
-        for si = 0 to nstmts - 1 do
-          if keep ~stmt_index:si iter then begin
-            let sites = alloc_sites.(si) in
-            let scrs = scratch.(si) in
-            for i = 0 to Array.length sites - 1 do
-              let s = sites.(i) in
-              let scr = scrs.(i) in
+  Compile.iter_space nest (fun iter ->
+      let pe = pe_of iter in
+      Array.iteri
+        (fun si ->
+          Array.iteri (fun i (s : Compile.Site.t) ->
+              let scr = scratch.(si).(i) in
               Compile.Site.eval_into s iter scr;
+              let tbl = homes.(s.Compile.Site.slot) in
               let packed = Machine.pack_coords scr in
-              let slot = s.Compile.Site.slot in
-              let tbl =
-                match Hashtbl.find_opt needed (pe, names.(slot)) with
-                | Some t -> t
-                | None ->
-                  let t = Hashtbl.create 32 in
-                  Hashtbl.replace needed (pe, names.(slot)) t;
-                  t
-              in
-              if not (Hashtbl.mem tbl packed) then begin
-                let el = Array.copy scr in
-                Hashtbl.add tbl packed (el, init arr_names.(slot) el)
-              end
-            done
-          end
-        done);
-    Hashtbl.iter
-      (fun (pe, name) tbl ->
-        if charge_distribution then
-          Machine.host_send machine ~pe name
-            (Hashtbl.fold (fun _ (el, v) acc -> (el, v) :: acc) tbl [])
-        else Hashtbl.iter (fun _ (el, v) -> Machine.store machine ~pe name el v)
-            tbl)
-      needed;
-    Machine.compact machine
-  end;
-  (* Execution, block by block.  For each element we record the value
-     produced by the sequentially-latest write: with duplication, a
-     co-located replica of another block may legally overwrite the local
-     copy later in wall-clock order (a cross-block output dependence
-     absorbed by replication), so reading memories after the fact would
-     validate the wrong thing. *)
-  let last_writer : (string * int list, (int list * int) * int) Hashtbl.t =
-    Hashtbl.create 256
-  in
-  let note_write a el_list stamp v =
-    let k = (a, el_list) in
-    match Hashtbl.find_opt last_writer k with
-    | Some (stamp', _) when stamp' > stamp -> ()
-    | _ -> Hashtbl.replace last_writer k (stamp, v)
-  in
-  let on_write =
-    if validate then
-      Some
-        (fun ~stmt_index ~iter ~el v ->
-          note_write
-            arr_names.(lslots.(stmt_index))
-            (Array.to_list el)
-            (Array.to_list iter, stmt_index)
-            v)
-    else None
-  in
-  let iscratch =
-    Array.map
-      (fun (sp : Compile.stmt_sites) ->
-        ( Array.make (Compile.Site.rank sp.Compile.lhs) 0,
-          Array.map
-            (fun s -> Array.make (Compile.Site.rank s) 0)
-            sp.Compile.reads ))
-      stmts
-  in
-  let remote = ref None in
-  let blocks = Iter_partition.blocks partition in
-  (try
-     Array.iter
-       (fun (b : Iter_partition.block) ->
-         let pe = block_pe b.id in
-         let names = names_of b.id in
-         let copy_aids = Array.map (Machine.array_id machine) names in
-         (match backend with
-          | `Compiled ->
-            let target =
-              bind_target machine ~pe
-                ~copy_aids:(Array.map Option.some copy_aids)
-                ~name:(fun slot -> names.(slot))
-            in
-            let kernel =
-              Compile.bind ?keep:keep_opt ?on_write ~scalar ~target prog
-            in
-            List.iter kernel b.iterations
-          | `Interpreted ->
-            List.iter
-              (fun iter ->
-                let index v = iter.(Hashtbl.find pos v) in
-                Array.iteri
-                  (fun si (s : Stmt.t) ->
-                    if keep ~stmt_index:si iter then begin
-                      let sp = stmts.(si) in
-                      let rsites = sp.Compile.reads in
-                      let lscr, rscr = iscratch.(si) in
-                      let nr = Array.length rsites in
-                      let read (r : Aref.t) =
-                        (* Expr nodes are physically shared with the
-                           compiled sites, so a pointer scan resolves
-                           the site without hashing. *)
-                        let rec find i =
-                          if i >= nr then -1
-                          else if rsites.(i).Compile.Site.aref == r then i
-                          else find (i + 1)
-                        in
-                        match find 0 with
-                        | -1 ->
-                          let el = eval_ref idx r iter in
-                          Machine.read_id machine ~pe
-                            copy_aids.(Compile.slot_of prog r.Aref.array)
-                            el
-                        | i ->
-                          let site = rsites.(i) in
-                          let scr = rscr.(i) in
-                          Compile.Site.eval_into site iter scr;
-                          Machine.read_id machine ~pe
-                            copy_aids.(site.Compile.Site.slot)
-                            scr
-                      in
-                      let v = Expr.eval ~read ~scalar ~index s.rhs in
-                      Compile.Site.eval_into sp.Compile.lhs iter lscr;
-                      Machine.write_id machine ~pe copy_aids.(lslots.(si)) lscr
-                        v;
-                      if validate then
-                        note_write s.lhs.Aref.array (Array.to_list lscr)
-                          (Array.to_list iter, si)
-                          v
-                    end)
-                  body)
-              b.iterations);
-         Machine.run_iterations machine ~pe (List.length b.iterations))
-       blocks
-   with Machine.Remote_access { pe; array; element } ->
-     remote := Some (pe, array, element));
-  (* Merge by sequentially-last writer and validate. *)
-  let mismatches =
-    match !remote with
-    | _ when not validate -> []
-    | Some _ -> []
-    | None ->
-      let golden =
-        if minimal then Seqexec.run_filtered ~init ~scalar ~keep nest
-        else Seqexec.run ~init ~scalar nest
-      in
-      List.filter_map
-        (fun (a, el, expected) ->
-          let got =
-            match Hashtbl.find_opt last_writer (a, Array.to_list el) with
-            | None -> None
-            | Some (_, v) -> Some v
-          in
-          if got = Some expected then None
-          else Some (a, el, Some expected, got))
-        (Seqexec.bindings golden)
-  in
-  let per_pe_iterations =
-    Array.init nprocs (fun pe -> Machine.iterations_of machine ~pe)
-  in
-  { machine; remote_access = !remote; mismatches; per_pe_iterations;
-    recovery = None }
+              if not (Hashtbl.mem tbl packed) then Hashtbl.add tbl packed pe))
+        sites);
+  homes
 
-(* Scale-out engine: same semantics as [execute], but driven by the
-   closed-form {!Coset} index (no materialized partition) over the
-   machine's interned fast path, with block execution fanned out over
-   OCaml domains.
+let fallback_homes ~placement partition =
+  let nest = Iter_partition.nest partition in
+  let prog = Compile.make nest in
+  let pe_of iter =
+    placement (Iter_partition.block_id_of_iteration partition iter)
+  in
+  Array.map2
+    (fun name tbl -> (name, tbl))
+    (Compile.arrays prog)
+    (first_touch_homes ~pe_of prog nest)
 
-   Parallel safety rests on partitioning every piece of mutable state by
-   processor: a processor's blocks all run on the one domain that owns
-   the processor, so local memories, compute clocks and iteration
-   counters are touched by a single domain; array interning happens only
-   in the sequential allocation phase (execution uses the read-only
-   lookup); and each domain accumulates its own last-writer table,
-   merged after the join.  Determinism: per-processor state is updated
-   in ascending block-id order exactly as the sequential engine does, so
-   cost totals and counters are bit-identical; the last-writer merge
-   picks the sequentially-latest stamp, which is associative and
-   commutative, and a remote-access abort reports the failure with the
-   smallest block id — whether an access faults is independent of
-   execution order (execution never adds elements to any memory), so
-   that is exactly the fault [execute] reports first.
+(* {2 The engine}
 
-   The compiled backend keeps all of the above: kernels are bound per
-   block on the owning domain (chunk bindings never change during a
-   round — writes go through the update-only path), and the validation
-   hook feeds the same per-domain last-writer tables. *)
-let execute_indexed ?(backend = `Compiled) ?(init = Seqexec.default_init)
+   One executor, two copy rules chosen by the entry point:
+
+   - [Block_local] ({!execute}, {!execute_indexed}): every block gets
+     private copies ([A#j] for block [j]) of everything its surviving
+     accesses touch, and blocks run block-major over the {!Coset} index,
+     fanned out over OCaml domains, in rounds that recover from PE
+     crashes.  Sound for communication-free partitions, where no flow
+     dependence crosses blocks; validated by merging every write by its
+     sequentially-latest stamp (with duplication a co-located replica of
+     another block may legally overwrite a local copy later in
+     wall-clock order, so reading memories after the fact would validate
+     the wrong thing).
+   - [Homes] ({!execute_fallback}): every element gets one home copy
+     under its plain array name on its first-touch PE, and iterations
+     run in sequential order on one domain, each on its block's PE.
+     Cross-block flow dependences of a fallback plan can point both
+     ways, so no block order would reproduce sequential values; this
+     order does by construction, and a [`Service] machine charges every
+     access crossing a home boundary as one message.  Validated by
+     reading every home copy.  Fault plans are refused: replaying only
+     the lost blocks is wrong once flow dependences cross blocks.
+
+   Parallel safety of [Block_local] rests on partitioning every piece of
+   mutable state by processor: a processor's blocks all run on the one
+   domain that owns it ([pe mod domains]), so local memories, compute
+   clocks and iteration counters are single-writer; array interning
+   happens only in the sequential allocation phase; and each domain
+   keeps its own last-writer table, merged after the join.  Per-PE state
+   is updated in ascending block-id order for any domain count, so cost
+   totals are bit-identical; the merge picks the sequentially-latest
+   stamp, which is associative and commutative; and a remote-access
+   abort reports the failure with the smallest block id — whether an
+   access faults is independent of execution order (execution never
+   adds elements to any memory), so that is exactly the fault a
+   one-domain run hits first. *)
+
+type copy_rule = Block_local | Homes
+
+let run ~who ~rule ?(backend = `Compiled) ?(init = Seqexec.default_init)
     ?(scalar = Seqexec.default_scalar) ?exact ?(allocate = true)
     ?(charge_distribution = false) ?(validate = true) ?domains
     ?(checkpoint_every = 0) ?(checkpoint_mode = `Delta) ~machine ~placement
     ~strategy coset =
+  let fail msg = invalid_arg (who ^ ": " ^ msg) in
   let nest = Coset.nest coset in
   let minimal = Strategy.uses_exact_analysis strategy in
   let exact =
@@ -429,26 +213,32 @@ let execute_indexed ?(backend = `Compiled) ?(init = Seqexec.default_init)
   let obs = Machine.obs machine in
   let obs_on = Cf_obs.Trace.enabled obs in
   let backend_arg = Cf_obs.Trace.Str (Compile.backend_name backend) in
+  (match (plan, rule) with
+  | Some _, Homes -> fail "fault plans are unsupported"
   (* Recovery replays lost data from block-local copies; without
      [allocate] the caller owns distribution and copies may be shared,
      so a crash could not be repaired locally. *)
-  if plan <> None && not allocate then
-    invalid_arg "Parexec.execute_indexed: fault injection requires allocate";
-  if checkpoint_every < 0 then
-    invalid_arg "Parexec.execute_indexed: checkpoint_every must be >= 0";
+  | Some _, Block_local when not allocate ->
+    fail "fault injection requires allocate"
+  | _ -> ());
+  if checkpoint_every < 0 then fail "checkpoint_every must be >= 0";
+  let dcount =
+    match domains with
+    | Some d when d < 1 -> fail "domains must be >= 1"
+    | Some d -> max 1 (min d nprocs)
+    | None -> max 1 (min (Domain.recommended_domain_count ()) nprocs)
+  in
   let block_pe j =
     let pe = placement j in
-    if pe < 0 || pe >= nprocs then
-      invalid_arg "Parexec.execute_indexed: placement outside the machine";
+    if pe < 0 || pe >= nprocs then fail "placement outside the machine";
     pe
   in
   let q = Coset.block_count coset in
-  let idx = Nest.indices nest in
+  let owner = Array.init q (fun i -> block_pe (i + 1)) in
   let pos = Hashtbl.create 8 in
-  Array.iteri (fun k v -> Hashtbl.replace pos v k) idx;
-  let body = Array.of_list nest.Nest.body in
+  Array.iteri (fun k v -> Hashtbl.replace pos v k) (Nest.indices nest);
   (* Every access site pre-resolved once — array slots, subscript
-     matrices — shared by allocation, the interpreted hot loop and the
+     matrices — shared by allocation, the interpreted body and the
      compiled kernels. *)
   let prog = Compile.make nest in
   let arr_names = Compile.arrays prog in
@@ -461,104 +251,73 @@ let execute_indexed ?(backend = `Compiled) ?(init = Seqexec.default_init)
   in
   let base_aids = Array.map (fun a -> Machine.array_id machine a) arr_names in
   let copy_name id slot =
-    if allocate then arr_names.(slot) ^ "#" ^ string_of_int id
+    if allocate && rule = Block_local then
+      arr_names.(slot) ^ "#" ^ string_of_int id
     else arr_names.(slot)
   in
-  let owner = Array.init q (fun i -> block_pe (i + 1)) in
   (* Liveness under the fault plan.  A dead PE's pending blocks move to
      the survivors by the same cyclic rule the original placement used,
      so recovery is itself a communication-free assignment. *)
   let alive = Array.make nprocs true in
   let dist_crashed = ref [] in
   let reassign id =
-    let survivors =
-      List.filter (fun pe -> alive.(pe)) (List.init nprocs Fun.id)
-    in
-    match survivors with
-    | [] -> invalid_arg "Parexec.execute_indexed: every processor crashed"
-    | _ ->
+    match List.filter (fun pe -> alive.(pe)) (List.init nprocs Fun.id) with
+    | [] -> fail "every processor crashed"
+    | survivors ->
       let s = Array.of_list survivors in
       s.((id - 1) mod Array.length s)
   in
-  (* Sequential phase: allocation (and optional distribution charging),
-     block by block via closed-form enumeration.  Everything any
-     surviving access of the block touches gets a block-local copy on
-     the block's processor, exactly as [execute] allocates. *)
+  (* Allocation: build each copy set once, then place it — as one
+     pipelined host message per copy when distribution is charged,
+     wholesale otherwise.  Block-local copies go block by block, slot by
+     slot; home copies array by array, PE by PE. *)
   let dist_t0 = Machine.host_now machine in
-  if allocate then begin
-    if charge_distribution then begin
-      (* Charged distribution needs the per-copy element list up front,
-         so collect each block's footprint before the single host_send. *)
-      let send_block id pe =
-        let slots = Array.map (fun _ -> Hashtbl.create 32) arr_names in
-        let touch (site : Compile.Site.t) iter =
-          let el = Compile.Site.eval site iter in
-          let slot = site.Compile.Site.slot in
-          let packed = Machine.pack_coords el in
-          let tbl = slots.(slot) in
-          if not (Hashtbl.mem tbl packed) then
-            Hashtbl.add tbl packed (el, init arr_names.(slot) el)
-        in
-        Coset.iter_block coset ~id (fun iter ->
-            Array.iteri
-              (fun si (sp : Compile.stmt_sites) ->
-                if keep ~stmt_index:si iter then begin
-                  touch sp.Compile.lhs iter;
-                  Array.iter (fun s -> touch s iter) sp.Compile.reads
-                end)
-              stmts);
+  let place ~pe name tbl =
+    if charge_distribution then
+      Machine.host_send machine ~pe name
+        (Hashtbl.fold
+           (fun packed v acc -> (Machine.unpack_coords packed, v) :: acc)
+           tbl [])
+    else Machine.install_id machine ~pe (Machine.array_id machine name) tbl
+  in
+  let homes =
+    match rule with
+    | Block_local -> [||]
+    | Homes ->
+      first_touch_homes prog nest ~pe_of:(fun iter ->
+          owner.(Coset.block_id_of_iteration coset iter - 1))
+  in
+  (match rule with
+  | Homes ->
+    Array.iteri
+      (fun slot tbl ->
+        let per_pe = Array.init nprocs (fun _ -> Hashtbl.create 16) in
+        Hashtbl.iter
+          (fun packed pe ->
+            Hashtbl.add per_pe.(pe) packed
+              (init arr_names.(slot) (Machine.unpack_coords packed)))
+          tbl;
         Array.iteri
-          (fun slot tbl ->
-            if Hashtbl.length tbl > 0 then
-              Machine.host_send machine ~pe (copy_name id slot)
-                (Hashtbl.fold (fun _ (el, v) acc -> (el, v) :: acc) tbl []))
-          slots
-      in
-      (* A node dead on arrival is unmasked by the first send to it; the
-         host then reassigns every pending block of the dead PE over the
-         survivors and resends.  Each pass either drains the pending list
-         or unmasks at least one more dead PE, so this terminates. *)
-      let pending = ref (List.init q (fun i -> i + 1)) in
-      while !pending <> [] do
-        let deferred = ref [] in
-        List.iter
-          (fun id ->
-            let pe = owner.(id - 1) in
-            if not alive.(pe) then deferred := id :: !deferred
-            else
-              try send_block id pe
-              with Machine.Pe_crashed { pe } ->
-                alive.(pe) <- false;
-                dist_crashed := pe :: !dist_crashed;
-                deferred := id :: !deferred)
-          !pending;
-        List.iter (fun id -> owner.(id - 1) <- reassign id) !deferred;
-        pending := List.rev !deferred
-      done
-    end
-    else begin
-      (* Free distribution: build each block copy as a packed-key table
-         (deduplicating locally, away from the machine's memory map) and
-         install it wholesale.  Subscripts evaluate into per-site
-         scratch (this phase is sequential). *)
-      let alloc_sites = distinct_sites stmts in
-      let scratch = site_scratch alloc_sites in
+          (fun pe copy ->
+            if Hashtbl.length copy > 0 then place ~pe arr_names.(slot) copy)
+          per_pe)
+      homes
+  | Block_local when allocate ->
+    (* Everything a block's surviving accesses touch, deduplicated by
+       packed coordinates; subscripts evaluate into per-site scratch
+       (this phase is sequential). *)
+    let sites = distinct_sites prog in
+    let scratch = Compile.scratch sites in
+    let copies id =
       let tbls = Array.make nslots None in
-      for id = 1 to q do
-        let pe = owner.(id - 1) in
-        Array.fill tbls 0 nslots None;
-        Coset.iter_block ~reuse:true coset ~id (fun iter ->
-            Array.iteri
-              (fun si _ ->
-                if keep ~stmt_index:si iter then begin
-                  let sites = alloc_sites.(si) in
-                  let scrs = scratch.(si) in
-                  for i = 0 to Array.length sites - 1 do
-                    let s = sites.(i) in
-                    let scr = scrs.(i) in
+      Coset.iter_block ~reuse:true coset ~id (fun iter ->
+          Array.iteri
+            (fun si ss ->
+              if keep ~stmt_index:si iter then
+                Array.iteri (fun i (s : Compile.Site.t) ->
+                    let scr = scratch.(si).(i) in
                     Compile.Site.eval_into s iter scr;
                     let slot = s.Compile.Site.slot in
-                    let packed = Machine.pack_coords scr in
                     let tbl =
                       match tbls.(slot) with
                       | Some t -> t
@@ -567,25 +326,42 @@ let execute_indexed ?(backend = `Compiled) ?(init = Seqexec.default_init)
                         tbls.(slot) <- Some t;
                         t
                     in
+                    let packed = Machine.pack_coords scr in
                     if not (Hashtbl.mem tbl packed) then
                       Hashtbl.add tbl packed
-                        (init arr_names.(slot) (Array.copy scr))
-                  done
-                end)
-              body);
-        Array.iteri
-          (fun slot tbl ->
-            match tbl with
-            | None -> ()
-            | Some tbl ->
-              Machine.install_id machine ~pe
-                (Machine.array_id machine (copy_name id slot))
-                tbl)
-          tbls
-      done
-    end;
-    Machine.compact machine
-  end;
+                        (init arr_names.(slot) (Array.copy scr)))
+                  ss)
+            sites);
+      tbls
+    in
+    (* A node dead on arrival is unmasked by the first send to it; the
+       host then reassigns every pending block of the dead PE over the
+       survivors and resends.  Each pass either drains the pending list
+       or unmasks at least one more dead PE, so this terminates. *)
+    let pending = ref (List.init q (fun i -> (i + 1, None))) in
+    while !pending <> [] do
+      let deferred = ref [] in
+      List.iter
+        (fun (id, built) ->
+          let pe = owner.(id - 1) in
+          if not alive.(pe) then deferred := (id, built) :: !deferred
+          else begin
+            let tbls = match built with Some t -> t | None -> copies id in
+            try
+              Array.iteri
+                (fun slot -> Option.iter (place ~pe (copy_name id slot)))
+                tbls
+            with Machine.Pe_crashed { pe } ->
+              alive.(pe) <- false;
+              dist_crashed := pe :: !dist_crashed;
+              deferred := (id, Some tbls) :: !deferred
+          end)
+        !pending;
+      List.iter (fun (id, _) -> owner.(id - 1) <- reassign id) !deferred;
+      pending := List.rev !deferred
+    done
+  | Block_local -> ());
+  if allocate then Machine.compact machine;
   if obs_on then
     Cf_obs.Trace.complete obs ~lane:Cf_obs.Trace.host_lane ~cat:"dist"
       ~ts:dist_t0
@@ -596,6 +372,104 @@ let execute_indexed ?(backend = `Compiled) ?(init = Seqexec.default_init)
           ("blocks", Cf_obs.Trace.Int q);
           ("charged", Cf_obs.Trace.Bool charge_distribution);
         ];
+  (* Block-local runs record every write's (iteration, statement) stamp
+     for the last-writer merge; home copies are validated in place. *)
+  let track = validate && rule = Block_local in
+  (* One execution context per domain: its last-writer table (aid ->
+     packed element -> (stamp, value)), subscript scratch — elements
+     live only for one access (the machine never retains them, and the
+     fault path copies) — and its bound kernels. *)
+  let worker () =
+    let lw : (int, (int, (int array * int) * int) Hashtbl.t) Hashtbl.t =
+      Hashtbl.create 64
+    in
+    let note si iter el v =
+      let baid = base_aids.(lslots.(si)) in
+      let tbl =
+        match Hashtbl.find_opt lw baid with
+        | Some t -> t
+        | None ->
+          let t = Hashtbl.create 256 in
+          Hashtbl.add lw baid t;
+          t
+      in
+      let packed = Machine.pack_coords el and stamp = (iter, si) in
+      match Hashtbl.find_opt tbl packed with
+      | Some (stamp', _) when compare stamp' stamp > 0 -> ()
+      | _ -> Hashtbl.replace tbl packed (stamp, v)
+    in
+    let scratch = Compile.scratch (Compile.sites prog) in
+    (* Interpreted body: one iteration's AST walk over the interned
+       machine accessors — the differential oracle for the compiled
+       kernels.  Stamps retain [iter], so a tracking caller must pass
+       fresh vectors. *)
+    let interp ~pe ~name copy_aids =
+      let aid_of slot el =
+        match copy_aids.(slot) with
+        | Some aid -> aid
+        | None ->
+          (* Never stored anywhere, so not local either. *)
+          raise
+            (Machine.Remote_access
+               { pe; array = name slot; element = Array.copy el })
+      in
+      fun iter ->
+        let index v = iter.(Hashtbl.find pos v) in
+        Array.iteri
+          (fun si (sp : Compile.stmt_sites) ->
+            if keep ~stmt_index:si iter then begin
+              let scrs = scratch.(si) in
+              let rsites = sp.Compile.reads in
+              let read (r : Aref.t) =
+                (* Expr nodes are physically the compiled sites' arefs, so
+                   a pointer scan resolves the site without hashing. *)
+                let rec find i =
+                  if i >= Array.length rsites then
+                    invalid_arg "Parexec: read site not compiled"
+                  else if rsites.(i).Compile.Site.aref == r then i
+                  else find (i + 1)
+                in
+                let i = find 0 in
+                let el = scrs.(i + 1) in
+                Compile.Site.eval_into rsites.(i) iter el;
+                Machine.read_id machine ~pe
+                  (aid_of rsites.(i).Compile.Site.slot el)
+                  el
+              in
+              let v = Expr.eval ~read ~scalar ~index sp.Compile.stmt.Stmt.rhs in
+              let el = scrs.(0) in
+              Compile.Site.eval_into sp.Compile.lhs iter el;
+              Machine.write_id machine ~pe (aid_of lslots.(si) el) el v;
+              if track then note si iter el v
+            end)
+          stmts
+    in
+    (* Compiled body, bound per PE and reused while the PE's resolved
+       copy ids stay the same: with plain names ([allocate = false], or
+       home copies) every block on a PE binds the same chunks, while
+       block-local copies differ block to block and rebind.  Chunk
+       bindings only change between rounds (recovery replay), and each
+       round builds fresh workers, so a cached kernel never outlives its
+       chunks. *)
+    let on_write =
+      if track then
+        Some (fun ~stmt_index ~iter ~el v -> note stmt_index iter el v)
+      else None
+    in
+    let kcache = Array.make nprocs None in
+    let kernel ~pe ~name copy_aids =
+      match kcache.(pe) with
+      | Some (aids, k) when aids = copy_aids -> k
+      | _ ->
+        let target = machine_target machine ~pe ~copy_aids ~name in
+        let k =
+          Compile.bind_run ?keep:keep_opt ?on_write ~scalar ~target prog
+        in
+        kcache.(pe) <- Some (copy_aids, k);
+        k
+    in
+    (lw, interp, kernel)
+  in
   (* Snapshot the distributed state: when a PE crashes mid-run, its
      block-local chunks are replayed from this checkpoint onto the
      survivors.  [ckpt_owner] pins where each block's chunks live in the
@@ -616,158 +490,14 @@ let execute_indexed ?(backend = `Compiled) ?(init = Seqexec.default_init)
     ref (match plan with Some _ -> Some (take_checkpoint ()) | None -> None)
   in
   let ckpt_owner = ref (Array.copy owner) in
-  (* Parallel phase: domain [d] owns the processors with [pe mod dcount
-     = d] and executes their blocks in ascending id order. *)
-  let dcount =
-    let requested =
-      match domains with
-      | Some d when d >= 1 -> d
-      | Some _ -> invalid_arg "Parexec.execute_indexed: domains must be >= 1"
-      | None -> Domain.recommended_domain_count ()
-    in
-    max 1 (min requested nprocs)
-  in
   let done_blocks = Array.make q false in
+  (* One round on domain [d]: the pending blocks of the processors with
+     [pe mod dcount = d], in ascending id order. *)
   let run_domain d =
-    (* aid -> packed element -> (stamp, value); stamps are (iteration,
-       statement index), ordered sequentially. *)
-    let lw : (int, (int, (int array * int) * int) Hashtbl.t) Hashtbl.t =
-      Hashtbl.create 64
-    in
-    let lw_note baid packed stamp v =
-      let tbl =
-        match Hashtbl.find_opt lw baid with
-        | Some t -> t
-        | None ->
-          let t = Hashtbl.create 256 in
-          Hashtbl.add lw baid t;
-          t
-      in
-      match Hashtbl.find_opt tbl packed with
-      | Some (stamp', _) when compare stamp' stamp > 0 -> ()
-      | _ -> Hashtbl.replace tbl packed (stamp, v)
-    in
+    let lw, interp, kernel = worker () in
     let remote = ref None in
     let dead_here = ref [] in
     let cur_block = ref 0 in
-    (* Per-domain scratch for subscript evaluation: elements live only
-       for the duration of one access (the machine never retains them,
-       and the fault path copies), so each domain reuses its own
-       buffers. *)
-    let scratch =
-      Array.map
-        (fun (sp : Compile.stmt_sites) ->
-          ( Array.make (Compile.Site.rank sp.Compile.lhs) 0,
-            Array.map
-              (fun s -> Array.make (Compile.Site.rank s) 0)
-              sp.Compile.reads ))
-        stmts
-    in
-    (* Interpreted block body: per-iteration AST walk over the interned
-       machine accessors — the differential oracle for the compiled
-       kernels. *)
-    let exec_interpreted ~id ~pe copy_aids =
-      let aid_of slot el =
-        match copy_aids.(slot) with
-        | Some aid -> aid
-        | None ->
-          (* Never stored anywhere, so not local either. *)
-          raise
-            (Machine.Remote_access
-               { pe; array = copy_name id slot; element = Array.copy el })
-      in
-      (* Stamps retain [iter], so reuse only when not validating. *)
-      Coset.iter_block ~reuse:(not validate) coset ~id (fun iter ->
-          let index v = iter.(Hashtbl.find pos v) in
-          Array.iteri
-            (fun si (s : Stmt.t) ->
-              if keep ~stmt_index:si iter then begin
-                let sp = stmts.(si) in
-                let rsites = sp.Compile.reads in
-                let lscr, rscr = scratch.(si) in
-                let nr = Array.length rsites in
-                let read (r : Aref.t) =
-                  (* Expr nodes are shared with the compiled sites, so a
-                     physical scan resolves the site without hashing;
-                     the fallback never fires. *)
-                  let rec find i =
-                    if i >= nr then -1
-                    else if rsites.(i).Compile.Site.aref == r then i
-                    else find (i + 1)
-                  in
-                  match find 0 with
-                  | -1 ->
-                    let el = eval_ref idx r iter in
-                    Machine.read_id machine ~pe
-                      (aid_of (Compile.slot_of prog r.Aref.array) el)
-                      el
-                  | i ->
-                    let site = rsites.(i) in
-                    let scr = rscr.(i) in
-                    Compile.Site.eval_into site iter scr;
-                    Machine.read_id machine ~pe
-                      (aid_of site.Compile.Site.slot scr)
-                      scr
-                in
-                let v = Expr.eval ~read ~scalar ~index s.rhs in
-                Compile.Site.eval_into sp.Compile.lhs iter lscr;
-                Machine.write_id machine ~pe (aid_of lslots.(si) lscr) lscr v;
-                if validate then
-                  lw_note base_aids.(lslots.(si))
-                    (Machine.pack_coords lscr)
-                    (iter, si) v
-              end)
-            body)
-    in
-    (* Compiled block body: bind the specialized kernels against this
-       block's chunks and run them.  [iter] buffers are fresh when
-       validating (the hook's stamps retain them); [el] is hook-local
-       scratch, only its packed form is kept. *)
-    let on_write =
-      if validate then
-        Some
-          (fun ~stmt_index ~iter ~el v ->
-            lw_note
-              base_aids.(lslots.(stmt_index))
-              (Machine.pack_coords el)
-              (iter, stmt_index) v)
-      else None
-    in
-    (* When the caller owns distribution ([allocate = false]) every
-       block on a processor binds against the same plain-named chunks,
-       so the bound kernel is reusable verbatim; cache it per PE keyed
-       by the resolved ids.  Chunk bindings only change between rounds
-       (recovery replay), and each round runs a fresh [run_domain], so
-       a cached kernel never outlives its chunks.  With per-block
-       copies the ids differ block to block and the cache never hits. *)
-    let kcache :
-        ( int,
-          int option array
-          * (int array -> unit)
-          * (int array -> q:int -> step:int -> count:int -> unit) )
-        Hashtbl.t =
-      Hashtbl.create 8
-    in
-    let exec_compiled ~id ~pe copy_aids =
-      let kernel, run =
-        match Hashtbl.find_opt kcache pe with
-        | Some (aids, k, r) when aids = copy_aids -> (k, r)
-        | _ ->
-          let target =
-            bind_target machine ~pe ~copy_aids ~name:(copy_name id)
-          in
-          let k, r =
-            Compile.bind_run ?keep:keep_opt ?on_write ~scalar ~target prog
-          in
-          Hashtbl.replace kcache pe (copy_aids, k, r);
-          (k, r)
-      in
-      (* Validation stamps retain the iteration vector, so only the
-         non-validating path may hand the walker's scratch to batched
-         runs. *)
-      if validate then Coset.iter_block ~reuse:false coset ~id kernel
-      else Coset.iter_block_runs coset ~id ~run kernel
-    in
     (* Plain names ([allocate = false]) resolve to the same ids for
        every block, so the lookup is worth one array per round — except
        that a [None] can still flip to [Some] if a chunk is created
@@ -799,14 +529,22 @@ let execute_indexed ?(backend = `Compiled) ?(init = Seqexec.default_init)
            try
              let block_t0 = if obs_on then Machine.pe_now machine pe else 0. in
              let copy_aids = copy_aids_for id in
+             let name = copy_name id in
              (match backend with
-              | `Compiled ->
-                if obs_on then
-                  Cf_obs.Trace.mark obs ~lane:pe ~cat:"compile" ~ts:block_t0
-                    "compile"
-                    ~args:[ ("block", Cf_obs.Trace.Int id) ];
-                exec_compiled ~id ~pe copy_aids
-              | `Interpreted -> exec_interpreted ~id ~pe copy_aids);
+             | `Compiled ->
+               if obs_on then
+                 Cf_obs.Trace.mark obs ~lane:pe ~cat:"compile" ~ts:block_t0
+                   "compile"
+                   ~args:[ ("block", Cf_obs.Trace.Int id) ];
+               let k, run = kernel ~pe ~name copy_aids in
+               (* Validation stamps retain the iteration vector, so only
+                  the non-tracking path may hand the walker's scratch to
+                  batched runs. *)
+               if track then Coset.iter_block coset ~id k
+               else Coset.iter_block_runs coset ~id ~run k
+             | `Interpreted ->
+               Coset.iter_block ~reuse:(not track) coset ~id
+                 (interp ~pe ~name copy_aids));
              let bsize = (Coset.block coset ~id).Coset.size in
              Machine.run_iterations machine ~pe bsize;
              if obs_on then
@@ -827,6 +565,29 @@ let execute_indexed ?(backend = `Compiled) ?(init = Seqexec.default_init)
        remote := Some (!cur_block, (pe, array, element)));
     (!remote, lw, !dead_here)
   in
+  (* Home copies: the whole space in sequential order on this domain,
+     each iteration on its block's PE, one iteration charged at a
+     time. *)
+  let run_sequential () =
+    let _, interp, kernel = worker () in
+    let aids = Array.map Option.some base_aids in
+    let name = copy_name 0 in
+    let body =
+      Array.init nprocs (fun pe ->
+          lazy
+            (match backend with
+            | `Compiled -> fst (kernel ~pe ~name aids)
+            | `Interpreted -> interp ~pe ~name aids))
+    in
+    try
+      Compile.iter_space nest (fun iter ->
+          let pe = owner.(Coset.block_id_of_iteration coset iter - 1) in
+          Lazy.force body.(pe) iter;
+          Machine.run_iterations machine ~pe 1);
+      None
+    with Machine.Remote_access { pe; array; element } ->
+      Some (pe, array, element)
+  in
   (* Round loop.  Each round fans the pending blocks out over the
      domains; a crash surfaces as Pe_crashed caught at block granularity
      (the dying block does not count as done).  After the join, dead
@@ -843,7 +604,10 @@ let execute_indexed ?(backend = `Compiled) ?(init = Seqexec.default_init)
   let rounds = ref 0 in
   let replayed = ref 0 in
   let rewords = ref 0 in
-  let running = ref true in
+  (* Home copies run once, in sequential order; block-local copies run
+     in rounds. *)
+  let running = ref (rule = Block_local) in
+  if rule = Homes then remote := run_sequential ();
   (* Rounds completed since the live checkpoint was taken; the refresh
      happens at round start so a crashed block's partial writes are
      never captured. *)
@@ -868,11 +632,8 @@ let execute_indexed ?(backend = `Compiled) ?(init = Seqexec.default_init)
     in
     results.(0) <- run_domain 0;
     Array.iteri (fun i dom -> results.(i + 1) <- Domain.join dom) spawned;
-    (* Whether an access faults is schedule-independent (execution never
-       adds elements to any memory), and each domain scans its blocks in
-       ascending id order, so its report is the first fault among its
-       own blocks.  The fault with the globally smallest block id is
-       therefore exactly the one the sequential engine hits first. *)
+    (* Each domain reports the first fault among its own blocks; the one
+       with the globally smallest block id is the sequential engine's. *)
     let round_remote =
       Array.fold_left
         (fun acc (r, _, _) ->
@@ -940,34 +701,38 @@ let execute_indexed ?(backend = `Compiled) ?(init = Seqexec.default_init)
         if minimal then Seqexec.run_filtered ~init ~scalar ~keep nest
         else Seqexec.run ~init ~scalar nest
       in
-      let merged : (int * int, (int array * int) * int) Hashtbl.t =
-        Hashtbl.create 1024
+      let value_of =
+        match rule with
+        | Homes ->
+          fun a el ->
+            (match
+               Hashtbl.find_opt homes.(Compile.slot_of prog a)
+                 (Machine.pack_coords el)
+             with
+            | Some pe when Machine.holds machine ~pe a el ->
+              Some (Machine.read machine ~pe a el)
+            | _ -> None)
+        | Block_local ->
+          let merged : (int * int, (int array * int) * int) Hashtbl.t =
+            Hashtbl.create 1024
+          in
+          List.iter
+            (Hashtbl.iter (fun aid ->
+                 Hashtbl.iter (fun packed (stamp, v) ->
+                     match Hashtbl.find_opt merged (aid, packed) with
+                     | Some (stamp', _) when compare stamp' stamp > 0 -> ()
+                     | _ -> Hashtbl.replace merged (aid, packed) (stamp, v))))
+            !all_lw;
+          fun a el ->
+            Option.bind (Machine.find_array_id machine a) (fun aid ->
+                Option.map snd
+                  (Hashtbl.find_opt merged (aid, Machine.pack_coords el)))
       in
-      List.iter
-        (fun lw ->
-          Hashtbl.iter
-            (fun aid tbl ->
-              Hashtbl.iter
-                (fun packed (stamp, v) ->
-                  match Hashtbl.find_opt merged (aid, packed) with
-                  | Some (stamp', _) when compare stamp' stamp > 0 -> ()
-                  | _ -> Hashtbl.replace merged (aid, packed) (stamp, v))
-                tbl)
-            lw)
-        !all_lw;
       List.filter_map
         (fun (a, el, expected) ->
-          let got =
-            match Machine.find_array_id machine a with
-            | None -> None
-            | Some aid -> (
-              match
-                Hashtbl.find_opt merged (aid, Machine.pack_coords el)
-              with
-              | None -> None
-              | Some (_, v) -> Some v)
-          in
-          if got = Some expected then None else Some (a, el, Some expected, got))
+          let got = value_of a el in
+          if got = Some expected then None
+          else Some (a, el, Some expected, got))
         (Seqexec.bindings golden)
   in
   let per_pe_iterations =
@@ -989,170 +754,22 @@ let execute_indexed ?(backend = `Compiled) ?(init = Seqexec.default_init)
   in
   { machine; remote_access = !remote; mismatches; per_pe_iterations; recovery }
 
-(* {2 Fallback execution (communication-minimal plans)}
+let coset_of partition =
+  Coset.make (Iter_partition.nest partition) (Iter_partition.space partition)
 
-   When no theorem yields parallelism, the planner falls back to a
-   partition that merely {e minimizes} communication; executing it
-   cannot rely on block-local copies (cross-block flow dependences can
-   point from a lexicographically later base into an earlier block, so
-   no block execution order reproduces sequential values).  Instead:
-   every element gets one {e home} copy under its plain array name —
-   on the PE of the first access in sequential (iteration, statement,
-   write-before-reads) order — and the walk itself stays sequential,
-   dispatching each iteration to its owning block's PE
-   ({!Seqexec.run_placed}).  Values are exactly sequential by
-   construction; the machine (in [`Service] mode) charges every access
-   that crosses a home boundary as one message.  The same first-touch
-   rule drives [Cf_mincomm]'s volume estimator, so predicted and
-   simulated message counts agree exactly. *)
+let execute ?backend ?init ?scalar ?exact ?allocate ?charge_distribution
+    ?validate ~machine ~placement ~strategy partition =
+  run ~who:"Parexec.execute" ~rule:Block_local ?backend ?init ?scalar ?exact
+    ?allocate ?charge_distribution ?validate ~machine ~placement ~strategy
+    (coset_of partition)
 
-let fallback_homes ~placement partition =
-  let nest = Iter_partition.nest partition in
-  let prog = Compile.make nest in
-  let arr_names = Compile.arrays prog in
-  let stmts = Compile.stmts prog in
-  let nstmts = Array.length stmts in
-  let homes =
-    Array.map (fun _ -> (Hashtbl.create 64 : (int, int) Hashtbl.t)) arr_names
-  in
-  let scratch =
-    Array.map
-      (fun (sp : Compile.stmt_sites) ->
-        ( Array.make (Compile.Site.rank sp.Compile.lhs) 0,
-          Array.map
-            (fun s -> Array.make (Compile.Site.rank s) 0)
-            sp.Compile.reads ))
-      stmts
-  in
-  Nest.iter_space nest (fun iter ->
-      let pe = placement (Iter_partition.block_id_of_iteration partition iter) in
-      for si = 0 to nstmts - 1 do
-        let sp = stmts.(si) in
-        let lscr, rscr = scratch.(si) in
-        let touch (s : Compile.Site.t) scr =
-          Compile.Site.eval_into s iter scr;
-          let tbl = homes.(s.Compile.Site.slot) in
-          let packed = Machine.pack_coords scr in
-          if not (Hashtbl.mem tbl packed) then Hashtbl.add tbl packed pe
-        in
-        touch sp.Compile.lhs lscr;
-        Array.iteri (fun k s -> touch s rscr.(k)) sp.Compile.reads
-      done);
-  Array.mapi (fun slot tbl -> (arr_names.(slot), tbl)) homes
+let execute_indexed = run ~who:"Parexec.execute_indexed" ~rule:Block_local
 
-let execute_fallback ?(backend = `Compiled) ?(init = Seqexec.default_init)
-    ?(scalar = Seqexec.default_scalar) ?(charge_distribution = false)
-    ?(validate = true) ?(checkpoint_every = 0) ~machine ~placement partition =
-  if Machine.faults machine <> None then
-    invalid_arg "Parexec.execute_fallback: fault plans are unsupported";
-  if checkpoint_every < 0 then
-    invalid_arg "Parexec.execute_fallback: checkpoint_every must be >= 0";
-  let nprocs = Topology.size (Machine.topology machine) in
-  let block_pe j =
-    let pe = placement j in
-    if pe < 0 || pe >= nprocs then
-      invalid_arg "Parexec.execute_fallback: placement outside the machine";
-    pe
-  in
-  let nest = Iter_partition.nest partition in
-  let homes = fallback_homes ~placement:block_pe partition in
-  (* Allocation: one home copy per element, plain array names — either
-     free of charge or as one pipelined host message per (PE, array). *)
-  Array.iter
-    (fun (name, tbl) ->
-      if charge_distribution then begin
-        let per_pe : (int, (int array * int) list ref) Hashtbl.t =
-          Hashtbl.create 8
-        in
-        Hashtbl.iter
-          (fun packed pe ->
-            let el = Machine.unpack_coords packed in
-            let l =
-              match Hashtbl.find_opt per_pe pe with
-              | Some l -> l
-              | None ->
-                let l = ref [] in
-                Hashtbl.replace per_pe pe l;
-                l
-            in
-            l := (el, init name el) :: !l)
-          tbl;
-        for pe = 0 to nprocs - 1 do
-          match Hashtbl.find_opt per_pe pe with
-          | Some l -> Machine.host_send machine ~pe name !l
-          | None -> ()
-        done
-      end
-      else
-        Hashtbl.iter
-          (fun packed pe ->
-            let el = Machine.unpack_coords packed in
-            Machine.store machine ~pe name el (init name el))
-          tbl)
-    homes;
-  Machine.compact machine;
-  let pe_of iter =
-    block_pe (Iter_partition.block_id_of_iteration partition iter)
-  in
-  (* The sequential walk has no rounds, so the cadence is measured in
-     iterations: every [checkpoint_every] dispatches a delta checkpoint
-     captures the writes since the previous one.  Capture never swaps
-     chunks, so the per-PE kernels bound inside [run_placed] stay
-     valid.  The checkpoints themselves are dropped (no fault plan can
-     reach this path) — what this buys is journal hygiene: the journal
-     stays O(writes-per-window) instead of O(total writes). *)
-  let pe_of =
-    if checkpoint_every = 0 then pe_of
-    else begin
-      let seen = ref 0 in
-      fun iter ->
-        incr seen;
-        if !seen >= checkpoint_every then begin
-          seen := 0;
-          ignore (Machine.checkpoint machine)
-        end;
-        pe_of iter
-    end
-  in
-  let remote = ref None in
-  (try Seqexec.run_placed ~backend ~scalar ~machine ~pe_of nest
-   with Machine.Remote_access { pe; array; element } ->
-     remote := Some (pe, array, element));
-  let mismatches =
-    if (not validate) || !remote <> None then []
-    else begin
-      let golden = Seqexec.run ~init ~scalar nest in
-      let home_of a packed =
-        let rec find i =
-          if i >= Array.length homes then None
-          else
-            let name, tbl = homes.(i) in
-            if String.equal name a then Hashtbl.find_opt tbl packed
-            else find (i + 1)
-        in
-        find 0
-      in
-      List.filter_map
-        (fun (a, el, expected) ->
-          let got =
-            match home_of a (Machine.pack_coords el) with
-            | Some pe when Machine.holds machine ~pe a el ->
-              Some (Machine.read machine ~pe a el)
-            | _ -> None
-          in
-          if got = Some expected then None
-          else Some (a, el, Some expected, got))
-        (Seqexec.bindings golden)
-    end
-  in
-  {
-    machine;
-    remote_access = !remote;
-    mismatches;
-    per_pe_iterations =
-      Array.init nprocs (fun pe -> Machine.iterations_of machine ~pe);
-    recovery = None;
-  }
+let execute_fallback ?backend ?init ?scalar ?charge_distribution ?validate
+    ~machine ~placement partition =
+  run ~who:"Parexec.execute_fallback" ~rule:Homes ?backend ?init ?scalar
+    ?charge_distribution ?validate ~machine ~placement
+    ~strategy:Strategy.Nonduplicate (coset_of partition)
 
 let pp_report ppf r =
   (match r.remote_access with

@@ -1,15 +1,29 @@
 (** Parallel execution of a partitioned nest on the simulated machine.
 
     The pipeline follows Section IV: allocate each iteration block and
-    its data blocks to a processor, run every block's iterations on its
-    processor touching only local memory (a remote access aborts the run
-    — the executable form of "communication-free"), then compare every
-    element's sequentially-last written value against the sequential
-    interpreter.  (Validating values at write time matters under
-    duplication: when several blocks share a processor, a replica of a
-    sequentially-earlier write may overwrite the local copy later in
-    wall-clock order — a cross-block output dependence that replication
-    legitimately absorbs.) *)
+    its data blocks to a processor, run the blocks, then check every
+    written element against the sequential interpreter.  One engine
+    does all of it, driven by the closed-form {!Cf_core.Coset} index,
+    with two copy rules chosen by the entry point:
+
+    - {b block-local copies} ({!execute}, {!execute_indexed}): each
+      block gets private copies of everything it touches and runs
+      block-major, touching only local memory — a remote access aborts
+      the run, the executable form of "communication-free".  Blocks fan
+      out over OCaml domains, and PE crashes are recovered in rounds.
+      Validation merges every write by its sequentially-latest stamp
+      (under duplication a co-located replica of a sequentially-earlier
+      write may overwrite a local copy later in wall-clock order — a
+      cross-block output dependence that replication legitimately
+      absorbs).
+    - {b first-touch home copies} ({!execute_fallback}): each element
+      gets one home copy, and iterations run in sequential order, each
+      on its block's processor.  This is how communication-minimal
+      fallback plans run; validation reads every home copy.
+
+    [Cf_check.Refexec], a materialized-partition executor, is the
+    independent reference the parity tests and the [parexec-vs-seq]
+    oracle compare this engine against. *)
 
 open Cf_core
 
@@ -34,7 +48,7 @@ type recovery = {
           checkpoints this is O(writes since the previous one), for full
           copies O(resident memory) each *)
 }
-(** What fault recovery did during one {!execute_indexed} run. *)
+(** What fault recovery did during one block-local run. *)
 
 type report = {
   machine : Cf_machine.Machine.t;
@@ -44,8 +58,8 @@ type report = {
     (** element, sequential value, merged parallel value; empty = correct *)
   per_pe_iterations : int array;
   recovery : recovery option;
-    (** Present iff the machine carries a fault plan (only
-        {!execute_indexed}); [crashed_pes = []] means no fault fired. *)
+    (** Present iff the machine carries a fault plan (block-local
+        runs only); [crashed_pes = []] means no fault fired. *)
 }
 
 val execute :
@@ -61,31 +75,9 @@ val execute :
   strategy:Strategy.t ->
   Iter_partition.t ->
   report
-(** Allocates local copies (free of charge — distribution-cost
-    experiments pre-place data with the host primitives and pass
-    [~allocate:false], making any gap in the distribution surface as a
-    remote access), executes, merges, validates.  For the minimal
-    strategies, redundant computations are skipped and validation
-    restricts to elements the surviving computations write; [exact]
-    supplies the redundancy analysis (computed on demand otherwise).
-    With [~charge_distribution:true] (and [allocate] left true), the
-    initial placement is charged to the machine as one pipelined host
-    message per block-local copy — a generic scatter, giving a full
-    makespan (distribution + compute) for any plan.  [~validate:false]
-    skips the sequential golden run and the last-writer merge —
-    [mismatches] is then always empty and the report only certifies
-    communication freedom, not value correctness (used for throughput
-    measurements).  Raises [Invalid_argument] when the machine carries a
-    fault plan — crash recovery lives in {!execute_indexed}.
-
-    [backend] (default [`Compiled]) selects the statement-body engine:
-    [`Compiled] partially evaluates each body once per block through
-    {!Compile} — subscript strides, operator dispatch, scalar and chunk
-    lookups all resolved at bind time — and runs the resulting closures;
-    [`Interpreted] walks the expression AST per iteration.  Both engines
-    produce bit-for-bit identical reports (values, faulting element,
-    counters); the [compiled-vs-interpreted] oracle in [cf_check]
-    enforces it. *)
+(** {!execute_indexed} over the coset index of the partition's nest and
+    space, on the default domain count — the entry point for callers
+    holding a planned {!Cf_core.Iter_partition}. *)
 
 val execute_indexed :
   ?backend:Compile.backend ->
@@ -103,19 +95,42 @@ val execute_indexed :
   strategy:Strategy.t ->
   Coset.t ->
   report
-(** The scale-out engine: semantics of {!execute}, driven by the
-    closed-form {!Cf_core.Coset} index instead of a materialized
-    partition, storing through the machine's interned fast path (local
-    memories are compacted to flat buffers after allocation), and
-    running blocks on [domains] OCaml domains (default
+(** Block-local execution.  Allocates block-local copies (free of
+    charge — distribution-cost experiments pre-place data with the host
+    primitives and pass [~allocate:false], making any gap in the
+    distribution surface as a remote access; plain per-processor names
+    are then used, and the caller guarantees shared elements are
+    read-only or block-exclusive), executes, merges, validates.  For the
+    minimal strategies, redundant computations are skipped and
+    validation restricts to elements the surviving computations write;
+    [exact] supplies the redundancy analysis (computed on demand
+    otherwise).  With [~charge_distribution:true] (and [allocate] left
+    true), the initial placement is charged to the machine as one
+    pipelined host message per block-local copy, in block-id then array
+    order — a generic scatter, giving a full makespan (distribution +
+    compute) for any plan.  [~validate:false] skips the sequential
+    golden run and the last-writer merge — [mismatches] is then always
+    empty and the report only certifies communication freedom, not value
+    correctness (used for throughput measurements).
+
+    Local memories are compacted to flat buffers after allocation and
+    blocks run on [domains] OCaml domains (default
     [Domain.recommended_domain_count ()], capped by the machine size).
     Domain [d] owns the processors with [pe mod domains = d], so all
     per-processor state stays single-writer; per-processor cost totals
-    and iteration counts are bit-identical to {!execute} for any domain
-    count.  On a communication-free run the report matches {!execute}'s
-    exactly; on a faulting run [remote_access] is the same fault
-    {!execute} reports (smallest block id), but counters reflect each
+    and iteration counts are bit-identical for any domain count.  On a
+    faulting run [remote_access] is the fault with the smallest block
+    id — the one a one-domain run hits first — but counters reflect each
     domain's progress rather than the sequential abort point.
+
+    [backend] (default [`Compiled]) selects the statement-body engine:
+    [`Compiled] partially evaluates each body once per block through
+    {!Compile} — subscript strides, operator dispatch, scalar and chunk
+    lookups all resolved at bind time — and runs the resulting closures;
+    [`Interpreted] walks the expression AST per iteration.  Both engines
+    produce bit-for-bit identical reports (values, faulting element,
+    counters); the [compiled-vs-interpreted] oracle in [cf_check]
+    enforces it.
 
     {b Crash tolerance}: when the machine carries a
     {!Cf_machine.Machine.faults} plan (requires [allocate:true] —
@@ -164,19 +179,18 @@ val execute_fallback :
   ?scalar:(string -> int) ->
   ?charge_distribution:bool ->
   ?validate:bool ->
-  ?checkpoint_every:int ->
   machine:Cf_machine.Machine.t ->
   placement:placement ->
   Iter_partition.t ->
   report
-(** End-to-end execution of a {e fallback} (not communication-free)
+(** Home-copy execution of a {e fallback} (not communication-free)
     partition: places one home copy of every accessed element under its
     plain array name per {!fallback_homes}, then walks the iteration
-    space in sequential lexicographic order dispatching each iteration
-    to its block's PE ({!Seqexec.run_placed}) — block-by-block execution
-    cannot reproduce sequential values here, since cross-block flow
-    dependences point both ways.  On a [`Service]-mode machine every
-    access crossing a home boundary is serviced and charged as one
+    space in sequential lexicographic order on one domain, running each
+    iteration on its block's PE and charging it there — block-major
+    execution cannot reproduce sequential values here, since cross-block
+    flow dependences point both ways.  On a [`Service]-mode machine
+    every access crossing a home boundary is serviced and charged as one
     message (query the machine's [serviced_*] counters); on a [`Strict]
     machine any such access aborts with [remote_access] set — a
     zero-communication fallback (e.g. of a communication-free nest) runs
@@ -184,16 +198,24 @@ val execute_fallback :
     sequential golden run; values are bit-for-bit sequential whenever no
     remote abort occurred, so [ok] holds on any serviced run.  With
     [~charge_distribution:true] the initial placement is charged as one
-    pipelined host message per (PE, array).  Raises [Invalid_argument]
-    on a machine with a fault plan (crash recovery is not defined for
-    serviced runs).
+    pipelined host message per (array, PE).  [backend] as in
+    {!execute_indexed}; both produce identical values and identical
+    serviced-message counts.  Raises [Invalid_argument] on a machine
+    with a fault plan: replaying only the lost blocks is wrong once flow
+    dependences cross blocks. *)
 
-    [checkpoint_every] (default 0 = never) takes a delta checkpoint
-    every so many dispatched iterations.  The checkpoints are dropped —
-    no recovery runs here — but each capture drains the write journal,
-    keeping it O(writes per window), and exercises delta capture
-    through both statement-body engines (the
-    [delta-checkpoint-identical] oracle leans on this). *)
+val machine_target :
+  Cf_machine.Machine.t ->
+  pe:int ->
+  copy_aids:int option array ->
+  name:(int -> string) ->
+  Compile.target
+(** The accessor target compiled kernels bind against: array slot
+    [slot] is PE [pe]'s chunk [copy_aids.(slot)], read and updated
+    through {!Cf_machine.Machine.reader} and friends (and its flat view
+    when compacted).  A [None] slot raises
+    {!Cf_machine.Machine.Remote_access} naming array [name slot] on
+    first access. *)
 
 val ok : report -> bool
 (** No remote access and no mismatch. *)

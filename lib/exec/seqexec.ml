@@ -136,99 +136,6 @@ let run ?(backend = `Compiled) ?init ?scalar t =
 let run_filtered ?(backend = `Compiled) ?init ?scalar ~keep t =
   run_backend ~backend ?init ?scalar ~keep:(Some keep) t
 
-(* {2 Sequential-order execution on the machine (fallback plans)}
-
-   Walks the iteration space in sequential lexicographic order but
-   executes each iteration on the PE [pe_of iter] of a simulated
-   machine, reading and writing the machine's local memories under
-   plain array names.  Values are bit-for-bit the sequential result by
-   construction (same order, one home copy per element); what the
-   machine models is {e time}: each iteration's compute lands on its
-   owning PE's clock, and in service mode every non-local access is
-   charged as a message.  Both statement-body engines take this path —
-   the compiled one binds one kernel per PE (chunk bindings never
-   change: service writes update the home copy in place), the
-   interpreter is the differential oracle. *)
-
-let machine_target machine aids pe =
-    let module M = Cf_machine.Machine in
-    {
-      Compile.reader = (fun slot -> M.reader machine ~pe aids.(slot));
-      reader1 = (fun slot -> M.reader1 machine ~pe aids.(slot));
-      reader2 = (fun slot -> M.reader2 machine ~pe aids.(slot));
-      writer = (fun slot -> M.writer machine ~pe aids.(slot));
-      writer1 = (fun slot -> M.writer1 machine ~pe aids.(slot));
-      writer2 = (fun slot -> M.writer2 machine ~pe aids.(slot));
-      flat =
-        (fun slot ->
-          match M.flat_view machine ~pe aids.(slot) with
-          | Some (lo, extents, data, present, dirty) ->
-            Some
-              {
-                Compile.f_lo = lo;
-                f_extents = extents;
-                f_data = data;
-                f_present = present;
-                f_dirty = dirty;
-              }
-          | None -> None);
-    }
-
-let run_placed ?(backend = `Compiled) ?(scalar = default_scalar) ~machine
-    ~pe_of t =
-  let module M = Cf_machine.Machine in
-  let nprocs = Cf_machine.Topology.size (M.topology machine) in
-  let prog = Compile.make t in
-  (* Interning is fine here: this walker is sequential by design. *)
-  let aids = Array.map (M.array_id machine) (Compile.arrays prog) in
-  let check_pe pe =
-    if pe < 0 || pe >= nprocs then
-      invalid_arg "Seqexec.run_placed: placement outside the machine";
-    pe
-  in
-  match backend with
-  | `Compiled when Compile.max_rank prog <= 7 ->
-    let target_for = machine_target machine aids in
-    (* One kernel per PE, bound lazily on first dispatch. *)
-    let kernels = Array.make nprocs None in
-    let kernel_for pe =
-      match kernels.(pe) with
-      | Some k -> k
-      | None ->
-        let k = Compile.bind ~scalar ~target:(target_for pe) prog in
-        kernels.(pe) <- Some k;
-        k
-    in
-    Compile.iter_space t (fun iter ->
-        let pe = check_pe (pe_of iter) in
-        (kernel_for pe) iter;
-        M.run_iterations machine ~pe 1)
-  | _ ->
-    let idx = Nest.indices t in
-    let pos = Hashtbl.create 8 in
-    Array.iteri (fun k v -> Hashtbl.replace pos v k) idx;
-    let body = Array.of_list t.Nest.body in
-    Nest.iter_space t (fun iter ->
-        let pe = check_pe (pe_of iter) in
-        let index v =
-          match Hashtbl.find_opt pos v with
-          | Some k -> iter.(k)
-          | None -> invalid_arg ("Seqexec.run_placed: unbound index " ^ v)
-        in
-        Array.iter
-          (fun (s : Stmt.t) ->
-            let read (r : Aref.t) =
-              let el = Aref.eval index r in
-              M.read_id machine ~pe aids.(Compile.slot_of prog r.Aref.array) el
-            in
-            let v = Expr.eval ~read ~scalar ~index s.rhs in
-            let el = Aref.eval index s.lhs in
-            M.write_id machine ~pe
-              aids.(Compile.slot_of prog s.lhs.Aref.array)
-              el v)
-          body;
-        M.run_iterations machine ~pe 1)
-
 let lookup (m : memory) a el = Hashtbl.find_opt m (a, Array.to_list el)
 
 let bindings (m : memory) =

@@ -43,29 +43,6 @@ val run_filtered :
     false — used to check that eliminating redundant computations
     preserves the surviving results (Sec. III.C). *)
 
-val run_placed :
-  ?backend:Compile.backend ->
-  ?scalar:(string -> int) ->
-  machine:Cf_machine.Machine.t ->
-  pe_of:(int array -> int) ->
-  Nest.t ->
-  unit
-(** Sequential-order execution {e on the machine} — how fallback
-    (non-communication-free) plans run.  Iterations are walked in the
-    same lexicographic order as {!run}, but each one executes on PE
-    [pe_of iter] against the machine's local memories under plain array
-    names: one iteration of compute is charged to that PE, and any
-    access to an element homed elsewhere is serviced (and charged) by
-    the machine when it is in [`Service] mode, or aborts the run in
-    [`Strict] mode.  Written values are bit-for-bit the sequential
-    result by construction; the machine models {e where} the work and
-    the residual messages land.  All accessed elements must have been
-    placed beforehand (see {!Parexec.execute_fallback}) — an element
-    held by no PE raises {!Cf_machine.Machine.Remote_access}.  [pe_of]
-    receives the iteration vector as a reused buffer and must not
-    retain it.  [backend] as in {!run}; both engines produce identical
-    values and identical serviced-message counts. *)
-
 val lookup : memory -> string -> int array -> int option
 val bindings : memory -> (string * int array * int) list
 (** Sorted. *)

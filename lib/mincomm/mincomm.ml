@@ -32,14 +32,11 @@ let theorem_number = function
   | Strategy.Min_nonduplicate -> 3
   | Strategy.Min_duplicate -> 4
 
-(* Mirrors [Diagnose.exact_analysis_limit]: the minimal theorems need
-   the enumeration-based analysis, which is only run on spaces small
-   enough to enumerate. *)
-let exact_analysis_limit = 100_000
-
+(* The minimal theorems need the enumeration-based analysis, which is
+   only run on spaces small enough to enumerate. *)
 let theorem_verdicts ?search_radius nest =
   let exact =
-    if Nest.cardinal nest <= exact_analysis_limit then
+    if Nest.cardinal nest <= Cf_dep.Exact.analysis_limit then
       try Some (Cf_dep.Exact.analyze nest) with _ -> None
     else None
   in
@@ -140,14 +137,13 @@ let candidates ?search_radius nest =
    iteration every site runs on the same PE, so intra-iteration order
    cannot change the home); each later access from another PE is one
    message.  This is exactly [Parexec.fallback_homes]'s placement rule
-   followed by [Seqexec.run_placed]'s servicing rule, which is why
+   followed by [Parexec.execute_fallback]'s servicing rule, which is why
    predicted counts equal simulated ones. *)
 
 let estimate_partition ~placement partition =
   let nest = Iter_partition.nest partition in
   let prog = Compile.make nest in
-  let stmts = Compile.stmts prog in
-  let nstmts = Array.length stmts in
+  let sites = Compile.sites prog in
   let homes =
     Array.map
       (fun _ -> (Hashtbl.create 64 : (int, int) Hashtbl.t))
@@ -155,36 +151,26 @@ let estimate_partition ~placement partition =
   in
   let per_block = Array.make (Iter_partition.block_count partition) 0 in
   let rr = ref 0 and rw = ref 0 in
-  let scratch =
-    Array.map
-      (fun (sp : Compile.stmt_sites) ->
-        ( Array.make (Compile.Site.rank sp.Compile.lhs) 0,
-          Array.map
-            (fun s -> Array.make (Compile.Site.rank s) 0)
-            sp.Compile.reads ))
-      stmts
-  in
+  let scratch = Compile.scratch sites in
   Nest.iter_space nest (fun iter ->
       let block = Iter_partition.block_id_of_iteration partition iter in
       let pe = placement block in
-      for si = 0 to nstmts - 1 do
-        let sp = stmts.(si) in
-        let lscr, rscr = scratch.(si) in
-        let touch kind (s : Compile.Site.t) scr =
-          Compile.Site.eval_into s iter scr;
-          let tbl = homes.(s.Compile.Site.slot) in
-          let packed = Machine.pack_coords scr in
-          match Hashtbl.find_opt tbl packed with
-          | None -> Hashtbl.add tbl packed pe
-          | Some home ->
-            if home <> pe then begin
-              (match kind with `R -> incr rr | `W -> incr rw);
-              per_block.(block - 1) <- per_block.(block - 1) + 1
-            end
-        in
-        touch `W sp.Compile.lhs lscr;
-        Array.iteri (fun k s -> touch `R s rscr.(k)) sp.Compile.reads
-      done);
+      Array.iteri
+        (fun si ->
+          (* Site 0 is the statement's write, the rest its reads. *)
+          Array.iteri (fun k (s : Compile.Site.t) ->
+              let scr = scratch.(si).(k) in
+              Compile.Site.eval_into s iter scr;
+              let tbl = homes.(s.Compile.Site.slot) in
+              let packed = Machine.pack_coords scr in
+              match Hashtbl.find_opt tbl packed with
+              | None -> Hashtbl.add tbl packed pe
+              | Some home ->
+                if home <> pe then begin
+                  if k = 0 then incr rw else incr rr;
+                  per_block.(block - 1) <- per_block.(block - 1) + 1
+                end))
+        sites);
   { messages = !rr + !rw; remote_reads = !rr; remote_writes = !rw; per_block }
 
 let estimate ~nprocs nest space =

@@ -10,8 +10,6 @@ type issue = {
 
 let severity_rank = function Error -> 0 | Warning -> 1 | Info -> 2
 
-let exact_analysis_limit = 100_000
-
 let rec has_div = function
   | Expr.Const _ | Expr.Scalar _ | Expr.Index _ | Expr.Read _ -> false
   | Expr.Binop (Expr.Div, _, _) -> true
@@ -36,7 +34,7 @@ let check nest =
     add Error "empty-iteration-space"
       "the loop bounds admit no iteration; nothing to partition";
   (* Warnings: feasibility of the enumeration-backed pieces. *)
-  if cardinal > exact_analysis_limit then
+  if cardinal > Cf_dep.Exact.analysis_limit then
     add Warning "large-iteration-space"
       (Printf.sprintf
          "%d iterations: the minimal strategies, exact verification and \

@@ -148,8 +148,7 @@ let pipeline_of = function Exact t | Fallback (t, _) -> t
 let fallback_of = function Exact _ -> None | Fallback (_, mc) -> Some mc
 
 let simulate_serve ?backend ?procs ?(cost = Cf_machine.Cost.transputer)
-    ?(comm_mode = `Service) ?(with_distribution = false) ?checkpoint_every
-    planned =
+    ?(comm_mode = `Service) ?(with_distribution = false) planned =
   match planned with
   | Exact t -> simulate ?backend ?procs ~cost ~with_distribution t
   | Fallback (t, mc) ->
@@ -167,7 +166,7 @@ let simulate_serve ?backend ?procs ?(cost = Cf_machine.Cost.transputer)
         cost
     in
     let report =
-      Cf_exec.Parexec.execute_fallback ?backend ?checkpoint_every
+      Cf_exec.Parexec.execute_fallback ?backend
         ~charge_distribution:with_distribution ~machine
         ~placement:(Cf_exec.Parexec.cyclic ~nprocs:procs)
         t.partition

@@ -65,11 +65,14 @@ val simulate :
   ?procs:int -> ?cost:Cf_machine.Cost.t -> ?with_distribution:bool -> t ->
   simulation
 (** Executes the plan on a simulated [procs]-node machine (default 4)
-    with cyclic block placement, validating communication freedom and
-    result correctness at run time.  With [~with_distribution:true] the
-    initial data scatter is charged to the machine and shows up in the
-    makespan.  [backend] (default [`Compiled]) selects the
-    statement-body engine — see {!Cf_exec.Parexec.execute}. *)
+    with cyclic block placement through the indexed engine
+    ({!Cf_exec.Parexec.execute}: block-local copies, block-major over the
+    coset index), validating communication freedom and result
+    correctness at run time.  With [~with_distribution:true] the initial
+    data scatter is charged to the machine — one host message per
+    block-local copy, in block order — and shows up in the makespan.
+    [backend] (default [`Compiled]) selects the statement-body
+    engine. *)
 
 (** {1 Serve-everything planning}
 
@@ -126,7 +129,6 @@ val simulate_serve :
   ?cost:Cf_machine.Cost.t ->
   ?comm_mode:Cf_machine.Machine.comm_mode ->
   ?with_distribution:bool ->
-  ?checkpoint_every:int ->
   planned ->
   simulation
 (** [Exact] plans run exactly as {!simulate}.  [Fallback] plans run
@@ -136,10 +138,7 @@ val simulate_serve :
     behavior); [procs] defaults to the fallback planner's [nprocs], the
     size its volume prediction is exact for.  Serviced-message counters
     live on [report.machine]
-    ({!Cf_machine.Machine.serviced_messages}).  [checkpoint_every]
-    reaches {!Cf_exec.Parexec.execute_fallback}'s iteration-cadence
-    delta checkpointing; [Exact] plans ignore it (their fault story
-    lives in {!Cf_exec.Parexec.execute_indexed}). *)
+    ({!Cf_machine.Machine.serviced_messages}). *)
 
 val describe : Format.formatter -> t -> unit
 (** Human-readable summary: per-array spaces, Ψ, block statistics, and

@@ -166,6 +166,10 @@ let cases =
       ~expected_status:2
       [ "simulate"; loop "l1.loop"; "--kill-after"; "3" ]
       [ "--kill-after requires --kill-pe" ];
+    expect_ok "checkpoint-every without a fault flag exits 2"
+      ~expected_status:2
+      [ "simulate"; loop "l1.loop"; "--checkpoint-every"; "1" ]
+      [ "--checkpoint-every requires --kill-pe or --fault-seed" ];
     Alcotest.test_case "trace + trace-check round-trip" `Slow (fun () ->
         let tf = Filename.temp_file "cfalloc_trace" ".json" in
         (match

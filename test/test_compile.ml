@@ -93,8 +93,9 @@ let unit_cases =
           < List.length (Seqexec.bindings (Seqexec.run l1))));
   ]
 
-(* Machine-engine parity: both backends of both parallel engines must
-   produce identical reports and identical simulated accounting. *)
+(* Machine-engine parity: both backends of the engine, and of the
+   materialized reference executor, must produce identical reports and
+   identical simulated accounting. *)
 
 let mk nprocs =
   Cf_machine.Machine.create
@@ -116,7 +117,9 @@ let report_parity ~name ~nprocs ~strategy nest =
   in
   let run_materialized backend =
     let machine = mk nprocs in
-    let r = Parexec.execute ~backend ~machine ~placement ~strategy partition in
+    let r =
+      Cf_check.Refexec.execute ~backend ~machine ~placement ~strategy partition
+    in
     (r, Cf_machine.Machine.max_compute_time machine)
   in
   List.iter

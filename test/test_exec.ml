@@ -123,9 +123,10 @@ let par_cases =
                  ~strategy:Strategy.Nonduplicate partition)));
   ]
 
-(* The scale-out engine must produce reports identical to [execute]:
-   same verdicts, same mismatches, same per-PE iteration counts, and
-   bit-identical machine accounting — for any domain count. *)
+(* The engine must produce reports identical to the materialized
+   reference executor in [cf_check]: same verdicts, same mismatches,
+   same per-PE iteration counts, and the same machine accounting — for
+   any domain count. *)
 let indexed_cases =
   let mk nprocs =
     Cf_machine.Machine.create
@@ -141,8 +142,8 @@ let indexed_cases =
     let base_machine = mk nprocs in
     prepare base_machine;
     let base =
-      Parexec.execute ?allocate ?charge_distribution ~machine:base_machine
-        ~placement ~strategy partition
+      Cf_check.Refexec.execute ?allocate ?charge_distribution
+        ~machine:base_machine ~placement ~strategy partition
     in
     List.iter
       (fun domains ->
@@ -556,7 +557,8 @@ let properties =
             in
             let mb = mk () and mi = mk () in
             let base =
-              Parexec.execute ~machine:mb ~placement ~strategy partition
+              Cf_check.Refexec.execute ~machine:mb ~placement ~strategy
+                partition
             in
             let r =
               Parexec.execute_indexed ~machine:mi ~placement ~strategy coset

@@ -452,13 +452,29 @@ let reproducibility_cases =
         let faults =
           Fault.make ~procs:2 { Fault.none with kills = [ (0, 1) ] }
         in
-        expect_invalid "execute refuses fault plans" (fun () ->
+        (* [execute] is the engine's block-local entry point, so it
+           recovers like [execute_indexed]. *)
+        (let machine =
+           Machine.create ~faults (Topology.linear 2) Cost.transputer
+         in
+         let r =
+           Parexec.execute ~machine
+             ~placement:(Parexec.cyclic ~nprocs:2)
+             ~strategy
+             (Iter_partition.make nest psi)
+         in
+         check_bool "execute recovers" true (Parexec.ok r);
+         check_bool "execute reports the crash" true
+           (match r.Parexec.recovery with
+           | Some rc -> rc.Parexec.crashed_pes = [ 0 ]
+           | None -> false));
+        expect_invalid "execute_fallback refuses fault plans" (fun () ->
             let machine =
-              Machine.create ~faults (Topology.linear 2) Cost.transputer
+              Machine.create ~faults ~comm_mode:`Service (Topology.linear 2)
+                Cost.transputer
             in
-            Parexec.execute ~machine
+            Parexec.execute_fallback ~machine
               ~placement:(Parexec.cyclic ~nprocs:2)
-              ~strategy
               (Iter_partition.make nest psi));
         expect_invalid "recovery needs the engine to allocate" (fun () ->
             let machine =

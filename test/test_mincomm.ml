@@ -240,6 +240,42 @@ let execute_fallback_strict_aborts () =
   check_bool "strict machine aborts" true
     (r.Cf_exec.Parexec.remote_access <> None)
 
+(* Charged distribution of home copies: one host message per (array,
+   PE) that homes anything, together carrying every accessed element
+   exactly once. *)
+let execute_fallback_charged () =
+  let mc = M.plan ~nprocs:2 matmul222 in
+  let machine =
+    Machine.create ~comm_mode:`Service
+      (Cf_machine.Topology.linear 2)
+      Cf_machine.Cost.transputer
+  in
+  let placement = Cf_exec.Parexec.cyclic ~nprocs:2 in
+  let r =
+    Cf_exec.Parexec.execute_fallback ~charge_distribution:true ~machine
+      ~placement mc.M.partition
+  in
+  check_bool "sequential result" true (Cf_exec.Parexec.ok r);
+  let homes = Cf_exec.Parexec.fallback_homes ~placement mc.M.partition in
+  let groups =
+    Array.fold_left
+      (fun acc (_, tbl) ->
+        acc
+        + List.length
+            (List.sort_uniq compare
+               (Hashtbl.fold (fun _ pe acc -> pe :: acc) tbl [])))
+      0 homes
+  in
+  let elements =
+    Array.fold_left (fun acc (_, tbl) -> acc + Hashtbl.length tbl) 0 homes
+  in
+  check_int "one message per (array, PE)" groups
+    (Machine.message_count machine);
+  check_int "every element sent once" elements
+    (Machine.message_volume machine);
+  check_int "simulated = predicted" mc.M.estimate.M.messages
+    (Machine.serviced_messages machine)
+
 (* {2 plan_serve facade} *)
 
 let plan_serve_exact () =
@@ -320,6 +356,8 @@ let cases =
       execute_fallback_chain;
     Alcotest.test_case "execute_fallback: strict machine aborts" `Quick
       execute_fallback_strict_aborts;
+    Alcotest.test_case "execute_fallback: charged home distribution" `Quick
+      execute_fallback_charged;
     Alcotest.test_case "plan_serve: comm-free nest stays exact" `Quick
       plan_serve_exact;
     Alcotest.test_case "plan_serve: rejected nest simulates serviced" `Quick

@@ -93,12 +93,22 @@ let diagnose_cases =
         let big =
           Cf_loop.Parse.nest "for i = 1 to 600\nfor j = 1 to 600\nA[i, j] := 1;\nend\nend"
         in
-        check_bool "large is warning" true
-          (List.exists
-             (fun (i : Diagnose.issue) ->
-               i.code = "large-iteration-space"
-               && i.severity = Diagnose.Warning)
-             (Diagnose.check big)));
+        let large nest =
+          List.exists
+            (fun (i : Diagnose.issue) ->
+              i.code = "large-iteration-space"
+              && i.severity = Diagnose.Warning)
+            (Diagnose.check nest)
+        in
+        check_bool "large is warning" true (large big);
+        (* The warning fires strictly above the exact-analysis limit. *)
+        let line n =
+          Cf_loop.Parse.nest
+            (Printf.sprintf "for i = 1 to %d\nA[i] := 1;\nend" n)
+        in
+        let limit = Cf_dep.Exact.analysis_limit in
+        check_bool "no warning at the limit" false (large (line limit));
+        check_bool "warning one past the limit" true (large (line (limit + 1))));
     Alcotest.test_case "informational notes" `Quick (fun () ->
         check_bool "L2 singular H_A" true
           (List.exists
