@@ -695,6 +695,25 @@ let rec json_leaves prefix j acc =
     |> snd
   | _ -> acc
 
+(* Reports whose simulated columns are deterministic: any change to one
+   of these keys is a behaviour change, not noise, and fails the diff.
+   Wall-clock keys (and [domains], which follows the host) only warn. *)
+let gated_benches = [ "parexec-scale"; "fault-recovery"; "mincomm" ]
+
+let simulated_keys =
+  [ "overhead"; "blocks"; "iterations"; "max_block"; "rounds";
+    "replayed_blocks"; "redistributed_words"; "checkpoints";
+    "checkpoint_words"; "crashed"; "retries"; "exact"; "rejected";
+    "servable"; "servable_frac"; "predicted_msgs"; "serviced_msgs" ]
+
+let simulated_leaf path =
+  let key =
+    match String.rindex_opt path '.' with
+    | Some i -> String.sub path (i + 1) (String.length path - i - 1)
+    | None -> path
+  in
+  String.starts_with ~prefix:"makespan" key || List.mem key simulated_keys
+
 let bench_diff_run level baseline current warn_pct =
   setup_logs level;
   let read path =
@@ -711,13 +730,32 @@ let bench_diff_run level baseline current warn_pct =
     Format.eprintf "error: %s@." e;
     1
   | Ok base, Ok cur ->
+    let gated =
+      match base with
+      | Cf_obs.Json.Obj fields -> (
+        match List.assoc_opt "bench" fields with
+        | Some (Cf_obs.Json.Str b) -> List.mem b gated_benches
+        | _ -> false)
+      | _ -> false
+    in
     let base_leaves = json_leaves "" base [] in
     let cur_leaves = json_leaves "" cur [] in
-    let warnings = ref 0 and compared = ref 0 in
+    let warnings = ref 0 and compared = ref 0 and failures = ref 0 in
     List.iter
       (fun (path, b) ->
         match List.assoc_opt path cur_leaves with
-        | None -> ()
+        | None ->
+          if gated && simulated_leaf path then begin
+            incr failures;
+            Format.printf "FAIL %s: %g -> missing@." path b
+          end
+        | Some c when gated && simulated_leaf path ->
+          incr compared;
+          if c <> b then begin
+            incr failures;
+            Format.printf "FAIL %s: %g -> %g (simulated metric changed)@." path
+              b c
+          end
         | Some c ->
           incr compared;
           (* Tiny absolute values are all noise; only flag changes on
@@ -730,15 +768,20 @@ let bench_diff_run level baseline current warn_pct =
             end
           end)
       base_leaves;
-    Format.printf "bench-diff: %d metric(s) compared, %d over the %.0f%% \
-                   threshold (advisory only)@."
-      !compared !warnings warn_pct;
-    0
+    Format.printf
+      "bench-diff: %d metric(s) compared, %d over the %.0f%% threshold \
+       (advisory only), %d simulated metric(s) changed@."
+      !compared !warnings warn_pct !failures;
+    if !failures > 0 then 1 else 0
 
 let bench_diff_cmd =
   let doc =
-    "Compare a benchmark JSON report against a committed baseline and \
-     warn (never fail) on metrics that moved more than the threshold."
+    "Compare a benchmark JSON report against a committed baseline.  \
+     Metrics that moved more than the threshold are flagged WARN \
+     (advisory).  In reports tagged parexec-scale, fault-recovery or \
+     mincomm, any change to a simulated metric (makespans, overhead, \
+     block and iteration counts, recovery and checkpoint counters, \
+     fallback-planning counts) is flagged FAIL and the command exits 1."
   in
   let baseline_arg =
     Arg.(required & pos 0 (some file) None

@@ -84,7 +84,11 @@ let coset_parity nest =
 
 (* parexec-vs-seq: the engine and the materialized reference executor
    ({!Refexec}) against the sequential golden run, and against each
-   other (identical per-PE iteration counts). *)
+   other (identical per-PE iteration counts).  A second, charged run of
+   each pits the engine's bulk chunk sends against the reference's
+   element-wise [host_send]s: the two must leave bit-identical machines
+   — message counts, volume, distribution time, send trace, makespan
+   and every PE's local memory. *)
 
 let parexec_vs_seq nest =
   let run strategy =
@@ -105,6 +109,29 @@ let parexec_vs_seq nest =
       Cf_exec.Parexec.execute_indexed ?exact:plan.Cf_pipeline.Pipeline.exact
         ~domains:1 ~machine:(machine ()) ~placement ~strategy coset
     in
+    let charged () =
+      let m1 = machine () and m2 = machine () in
+      ignore
+        (Refexec.execute ?exact:plan.Cf_pipeline.Pipeline.exact
+           ~charge_distribution:true ~validate:false ~machine:m1 ~placement
+           ~strategy plan.Cf_pipeline.Pipeline.partition);
+      ignore
+        (Cf_exec.Parexec.execute_indexed ?exact:plan.Cf_pipeline.Pipeline.exact
+           ~charge_distribution:true ~validate:false ~domains:1 ~machine:m2
+           ~placement ~strategy coset);
+      let module M = Cf_machine.Machine in
+      let differs what f = if f m1 <> f m2 then Some what else None in
+      List.find_map Fun.id
+        [
+          differs "message count" M.message_count;
+          differs "message volume" M.message_volume;
+          differs "distribution time" M.distribution_time;
+          differs "send trace" M.trace;
+          differs "makespan" M.makespan;
+          differs "local memories" (fun m ->
+              List.init nprocs (fun pe -> M.local_elements m ~pe));
+        ]
+    in
     if not (Cf_exec.Parexec.ok r1) then
       failf "strategy %a: reference executor diverges from sequential"
         Strategy.pp strategy
@@ -116,7 +143,12 @@ let parexec_vs_seq nest =
     then
       failf "strategy %a: per-PE iteration counts differ from the reference"
         Strategy.pp strategy
-    else Pass
+    else
+      match charged () with
+      | Some what ->
+        failf "strategy %a: charged distribution: %s differs from the reference"
+          Strategy.pp strategy what
+      | None -> Pass
   in
   let rec go = function
     | [] -> Pass
@@ -496,7 +528,9 @@ let all =
       doc = "closed-form Coset index vs materialized Iter_partition";
       check = coset_parity };
     { name = "parexec-vs-seq";
-      doc = "engine and materialized reference vs the sequential interpreter";
+      doc =
+        "engine and materialized reference vs the sequential interpreter; \
+         charged bulk vs element-wise distribution";
       check = parexec_vs_seq };
     { name = "fault-recovery-identical";
       doc = "crash recovery reproduces the fault-free result";

@@ -29,7 +29,10 @@ val all : t list
       {!Cf_core.Iter_partition} oracle (ids, bases, sizes, members);
     - [parexec-vs-seq]: the materialized and the indexed parallel
       engines both reproduce the sequential interpreter, with identical
-      per-PE iteration counts;
+      per-PE iteration counts; charged, the engine's bulk chunk sends
+      and the reference's element-wise host sends leave bit-identical
+      machines (message count and volume, distribution time, send
+      trace, makespan, every PE's local memory);
     - [fault-recovery-identical]: a run with a killed PE recovers to the
       exact fault-free (sequential) result;
     - [compiled-vs-interpreted]: the closure-specialized execution

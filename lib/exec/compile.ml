@@ -1060,12 +1060,13 @@ let bind_run ?keep ?on_write ~scalar ~target t =
     | None -> (k, generic_run k))
   | _ -> (k, generic_run k)
 
-let iter_space nest f =
+(* The innermost level's interval is one run: its bounds mention only
+   outer indices, so each compiled bound reads positions the walker has
+   already fixed. *)
+let iter_space_runs nest run =
   let levels = nest.Nest.levels in
   let n = Array.length levels in
   let order = Nest.indices nest in
-  (* Bounds only mention outer indices, so each compiled bound reads
-     positions the walker has already fixed. *)
   let bound (e : Affine.t) =
     let row, c = Affine.coeff_vector order e in
     addr row c
@@ -1074,13 +1075,19 @@ let iter_space nest f =
   let hi = Array.map (fun (l : Nest.level) -> bound l.Nest.upper) levels in
   let iter = Array.make n 0 in
   let rec go k =
-    if k = n then f iter
-    else begin
-      let l = lo.(k) iter and h = hi.(k) iter in
+    let l = lo.(k) iter and h = hi.(k) iter in
+    if k = n - 1 then begin
+      if l <= h then begin
+        iter.(k) <- l;
+        run iter ~q:k ~step:1 ~count:(h - l + 1)
+      end
+    end
+    else
       for x = l to h do
         iter.(k) <- x;
         go (k + 1)
       done
-    end
   in
   go 0
+
+let iter_space nest f = iter_space_runs nest (generic_run f)

@@ -161,3 +161,10 @@ val iter_space : Nest.t -> (int array -> unit) -> unit
 (** {!Cf_loop.Nest.iter_space} with the loop bounds compiled to stride
     closures over the outer indices, and the iteration vector passed as
     a reused buffer (the consumer must not retain it). *)
+
+val iter_space_runs :
+  Nest.t -> (int array -> q:int -> step:int -> count:int -> unit) -> unit
+(** {!iter_space} in runs: every innermost interval is one call in
+    {!bind_run}'s run convention ([q] the innermost position, [step]
+    1), so a whole-space walk can use the batched run kernels.  The run
+    must restore the vector before returning. *)

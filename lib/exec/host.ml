@@ -1,0 +1,432 @@
+open Cf_loop
+module Machine = Cf_machine.Machine
+
+(* A flat host array: row-major over [lo .. lo + extents − 1] with
+   [strides] precomputed; [mat] marks cells whose [data] holds the
+   element's value (materialized by [init] or written), [written] the
+   cells a golden run wrote.  A table host array keys both by packed
+   coordinates. *)
+type arr =
+  | Box of {
+      lo : int array;
+      extents : int array;
+      strides : int array;
+      data : int array;
+      mat : Bytes.t;
+      written : Bytes.t;
+    }
+  | Table of {
+      values : (int, int) Hashtbl.t;
+      written_keys : (int, unit) Hashtbl.t;
+    }
+
+type t = {
+  names : string array;
+  init : string -> int array -> int;
+  arrs : arr array;
+}
+
+let sat_mul a b = if a <> 0 && b > max_int / a then max_int else a * b
+
+let strides_of extents =
+  let d = Array.length extents in
+  let s = Array.make d 1 in
+  for p = d - 2 downto 0 do
+    s.(p) <- sat_mul s.(p + 1) extents.(p + 1)
+  done;
+  s
+
+let table () =
+  Table { values = Hashtbl.create 64; written_keys = Hashtbl.create 64 }
+
+(* Flat storage needs one rank the packed coordinates can express. *)
+let flat_rank r = r >= 1 && r <= 7
+
+(* Every element a site [H·i + c] reaches lies in the box interval
+   arithmetic gives over the iteration box [ilo, ihi]. *)
+let make ~init prog nest =
+  let names = Compile.arrays prog in
+  let sites = Array.concat (Array.to_list (Compile.sites prog)) in
+  let arrs =
+    Array.mapi
+      (fun slot _ ->
+        let mine =
+          List.filter
+            (fun (s : Compile.Site.t) -> s.Compile.Site.slot = slot)
+            (Array.to_list sites)
+        in
+        match (Nest.bounding_box nest, mine) with
+        | Some (ilo, ihi), s0 :: _
+          when let r = Compile.Site.rank s0 in
+               flat_rank r
+               && List.for_all (fun s -> Compile.Site.rank s = r) mine ->
+          let r = Compile.Site.rank s0 in
+          let lo = Array.make r max_int and hi = Array.make r min_int in
+          List.iter
+            (fun (s : Compile.Site.t) ->
+              for p = 0 to r - 1 do
+                let a = ref s.Compile.Site.c.(p) and b = ref s.Compile.Site.c.(p) in
+                Array.iteri
+                  (fun q h ->
+                    if h > 0 then begin
+                      a := !a + (h * ilo.(q));
+                      b := !b + (h * ihi.(q))
+                    end
+                    else begin
+                      a := !a + (h * ihi.(q));
+                      b := !b + (h * ilo.(q))
+                    end)
+                  s.Compile.Site.h.(p);
+                lo.(p) <- min lo.(p) !a;
+                hi.(p) <- max hi.(p) !b
+              done)
+            mine;
+          let extents = Array.init r (fun p -> hi.(p) - lo.(p) + 1) in
+          let volume = Array.fold_left sat_mul 1 extents in
+          let evaluations =
+            Array.fold_left
+              (fun acc x -> sat_mul acc x)
+              (List.length mine)
+              (Array.map2 (fun l h -> h - l + 1) ilo ihi)
+          in
+          if Machine.flat_worthy ~volume ~count:evaluations then
+            Box
+              {
+                lo;
+                extents;
+                strides = strides_of extents;
+                data = Array.make volume 0;
+                mat = Bytes.make volume '\000';
+                written = Bytes.make volume '\000';
+              }
+          else table ()
+        | _ -> table ())
+      names
+  in
+  { names; init; arrs }
+
+let outside () = invalid_arg "Host: element outside its array's reach"
+
+let offset ~lo ~extents ~strides el =
+  let d = Array.length lo in
+  if Array.length el <> d then outside ();
+  let off = ref 0 in
+  for p = 0 to d - 1 do
+    let c = el.(p) - lo.(p) in
+    if c < 0 || c >= extents.(p) then outside ();
+    off := !off + (c * strides.(p))
+  done;
+  !off
+
+let coords ~lo ~extents off =
+  let d = Array.length lo in
+  let el = Array.make d 0 in
+  let rem = ref off in
+  for p = d - 1 downto 0 do
+    el.(p) <- (!rem mod extents.(p)) + lo.(p);
+    rem := !rem / extents.(p)
+  done;
+  el
+
+(* First use of a flat cell: one [init] call on a fresh element. *)
+let materialize t slot ~lo ~extents ~data ~mat off =
+  let v = t.init t.names.(slot) (coords ~lo ~extents off) in
+  data.(off) <- v;
+  Bytes.unsafe_set mat off '\001';
+  v
+
+let value t slot el =
+  match t.arrs.(slot) with
+  | Box { lo; extents; strides; data; mat; _ } ->
+    let off = offset ~lo ~extents ~strides el in
+    if Bytes.unsafe_get mat off <> '\000' then data.(off)
+    else materialize t slot ~lo ~extents ~data ~mat off
+  | Table { values; _ } -> (
+    let key = Machine.pack_coords el in
+    match Hashtbl.find_opt values key with
+    | Some v -> v
+    | None ->
+      let v = t.init t.names.(slot) (Array.copy el) in
+      Hashtbl.add values key v;
+      v)
+
+let copy t =
+  {
+    t with
+    arrs =
+      Array.map
+        (function
+          | Box b ->
+            Box
+              {
+                b with
+                data = Array.copy b.data;
+                mat = Bytes.copy b.mat;
+                written = Bytes.make (Bytes.length b.written) '\000';
+              }
+          | Table { values; _ } ->
+            Table
+              { values = Hashtbl.copy values; written_keys = Hashtbl.create 64 })
+        t.arrs;
+  }
+
+(* {2 The golden run's accessors} *)
+
+let store t slot el v =
+  match t.arrs.(slot) with
+  | Box { lo; extents; strides; data; mat; written } ->
+    let off = offset ~lo ~extents ~strides el in
+    data.(off) <- v;
+    Bytes.unsafe_set mat off '\001';
+    Bytes.unsafe_set written off '\001'
+  | Table { values; written_keys } ->
+    let key = Machine.pack_coords el in
+    Hashtbl.replace values key v;
+    Hashtbl.replace written_keys key ()
+
+let target t =
+  let reader slot el = value t slot el in
+  let writer slot el v = store t slot el v in
+  (* Rank-1/rank-2 entry points: the flat hit path inline, everything
+     else through the general accessor on scratch. *)
+  let reader1 slot =
+    let sc = [| 0 |] in
+    match t.arrs.(slot) with
+    | Box { lo = [| lo0 |]; extents = [| e0 |]; data; mat; _ } ->
+      fun x ->
+        let c = x - lo0 in
+        if c >= 0 && c < e0 && Bytes.unsafe_get mat c <> '\000' then
+          Array.unsafe_get data c
+        else begin
+          sc.(0) <- x;
+          value t slot sc
+        end
+    | _ ->
+      fun x ->
+        sc.(0) <- x;
+        value t slot sc
+  in
+  let reader2 slot =
+    let sc = [| 0; 0 |] in
+    let slow x0 x1 =
+      sc.(0) <- x0;
+      sc.(1) <- x1;
+      value t slot sc
+    in
+    match t.arrs.(slot) with
+    | Box { lo = [| lo0; lo1 |]; extents = [| e0; e1 |]; data; mat; _ } ->
+      fun x0 x1 ->
+        let c0 = x0 - lo0 and c1 = x1 - lo1 in
+        if c0 >= 0 && c0 < e0 && c1 >= 0 && c1 < e1 then begin
+          let off = (c0 * e1) + c1 in
+          if Bytes.unsafe_get mat off <> '\000' then Array.unsafe_get data off
+          else slow x0 x1
+        end
+        else slow x0 x1
+    | _ -> slow
+  in
+  let writer1 slot =
+    let sc = [| 0 |] in
+    fun x v ->
+      sc.(0) <- x;
+      store t slot sc v
+  in
+  let writer2 slot =
+    let sc = [| 0; 0 |] in
+    fun x0 x1 v ->
+      sc.(0) <- x0;
+      sc.(1) <- x1;
+      store t slot sc v
+  in
+  let flat slot =
+    match t.arrs.(slot) with
+    | Box { lo; extents; data; mat; written; _ } ->
+      Some
+        {
+          Compile.f_lo = lo;
+          f_extents = extents;
+          f_data = data;
+          f_present = mat;
+          f_dirty = written;
+        }
+    | Table _ -> None
+  in
+  { Compile.reader; reader1; reader2; writer; writer1; writer2; flat }
+
+let iter_written t f =
+  Array.iteri
+    (fun slot arr ->
+      match arr with
+      | Box { lo; extents; data; written; _ } ->
+        let n = Bytes.length written in
+        let off = ref 0 in
+        while !off < n do
+          if !off + 8 <= n && Bytes.get_int64_ne written !off = 0L then
+            off := !off + 8
+          else begin
+            if Bytes.unsafe_get written !off <> '\000' then
+              f slot
+                (Machine.pack_coords (coords ~lo ~extents !off))
+                data.(!off);
+            incr off
+          end
+        done
+      | Table { values; written_keys } ->
+        Hashtbl.iter
+          (fun key () -> f slot key (Hashtbl.find values key))
+          written_keys)
+    t.arrs
+
+(* {2 Footprints and gathers} *)
+
+type footprint = {
+  mutable segs : int array;  (* records [rank; count; e ...; d ...] *)
+  mutable len : int;
+  mutable rank : int;  (* common rank; -1 while empty, -2 once mixed *)
+  mutable lo : int array;
+  mutable hi : int array;
+  mutable bound : int;  (* upper bound on distinct elements *)
+}
+
+let footprint () =
+  { segs = Array.make 256 0; len = 0; rank = -1; lo = [||]; hi = [||];
+    bound = 0 }
+
+let reset fp =
+  fp.len <- 0;
+  fp.rank <- -1;
+  fp.bound <- 0
+
+let add fp e d ~count =
+  let r = Array.length e in
+  let moving = ref false in
+  for p = 0 to r - 1 do
+    if d.(p) <> 0 then moving := true
+  done;
+  (* A standing segment covers one element however long it runs. *)
+  let count = if !moving then count else 1 in
+  let need = fp.len + 2 + (2 * r) in
+  if need > Array.length fp.segs then begin
+    let bigger = Array.make (max need (2 * Array.length fp.segs)) 0 in
+    Array.blit fp.segs 0 bigger 0 fp.len;
+    fp.segs <- bigger
+  end;
+  let s = fp.segs and i = fp.len in
+  s.(i) <- r;
+  s.(i + 1) <- count;
+  for p = 0 to r - 1 do
+    s.(i + 2 + p) <- e.(p);
+    s.(i + 2 + r + p) <- (if !moving then d.(p) else 0)
+  done;
+  fp.len <- need;
+  fp.bound <- fp.bound + count;
+  if fp.rank = -1 then begin
+    fp.rank <- r;
+    if Array.length fp.lo <> r then begin
+      fp.lo <- Array.make r 0;
+      fp.hi <- Array.make r 0
+    end;
+    for p = 0 to r - 1 do
+      fp.lo.(p) <- e.(p);
+      fp.hi.(p) <- e.(p)
+    done
+  end
+  else if fp.rank <> r then fp.rank <- -2;
+  if fp.rank >= 0 then begin
+    let lo = fp.lo and hi = fp.hi in
+    for p = 0 to r - 1 do
+      let a = e.(p) in
+      let b = a + ((count - 1) * s.(i + 2 + r + p)) in
+      let l = if a < b then a else b and h = if a < b then b else a in
+      if l < lo.(p) then lo.(p) <- l;
+      if h > hi.(p) then hi.(p) <- h
+    done
+  end
+
+(* The flat gather: along a segment both the chunk offset and (for a
+   flat host array) the host offset advance by constant strides, so the
+   copy is a strided loop with one presence test per step. *)
+let box_extents fp = Array.init fp.rank (fun p -> fp.hi.(p) - fp.lo.(p) + 1)
+
+let gather_flat t slot fp =
+  let r = fp.rank in
+  let lo = Array.copy fp.lo in
+  let extents = box_extents fp in
+  let volume = Array.fold_left ( * ) 1 extents in
+  let cstrides = strides_of extents in
+  let data = Array.make volume 0 and present = Bytes.make volume '\000' in
+  let count = ref 0 in
+  let s = fp.segs in
+  let el = Array.make r 0 in
+  let i = ref 0 in
+  while !i < fp.len do
+    let base = !i + 2 and steps = s.(!i + 1) in
+    let co = ref 0 and dco = ref 0 in
+    for p = 0 to r - 1 do
+      co := !co + ((s.(base + p) - lo.(p)) * cstrides.(p));
+      dco := !dco + (s.(base + r + p) * cstrides.(p))
+    done;
+    (match t.arrs.(slot) with
+    | Box { lo = hlo; extents = hext; strides; data = hdata; mat; _ } ->
+      Array.blit s base el 0 r;
+      let ho = ref (offset ~lo:hlo ~extents:hext ~strides el) and dho = ref 0 in
+      for p = 0 to r - 1 do
+        dho := !dho + (s.(base + r + p) * strides.(p))
+      done;
+      for _ = 1 to steps do
+        if Bytes.unsafe_get present !co = '\000' then begin
+          Bytes.unsafe_set present !co '\001';
+          incr count;
+          data.(!co) <-
+            (if Bytes.unsafe_get mat !ho <> '\000' then hdata.(!ho)
+             else
+               materialize t slot ~lo:hlo ~extents:hext ~data:hdata ~mat !ho)
+        end;
+        co := !co + !dco;
+        ho := !ho + !dho
+      done
+    | Table _ ->
+      for k = 0 to steps - 1 do
+        if Bytes.unsafe_get present !co = '\000' then begin
+          for p = 0 to r - 1 do
+            el.(p) <- s.(base + p) + (k * s.(base + r + p))
+          done;
+          Bytes.unsafe_set present !co '\001';
+          incr count;
+          data.(!co) <- value t slot el
+        end;
+        co := !co + !dco
+      done);
+    i := base + (2 * r)
+  done;
+  Machine.flat_chunk ~lo ~extents ~data ~present ~count:!count
+
+let gather_sparse t slot fp =
+  let tbl = Hashtbl.create (min fp.bound 1024) in
+  let s = fp.segs in
+  let i = ref 0 in
+  let el = ref [||] in
+  while !i < fp.len do
+    let r = s.(!i) and steps = s.(!i + 1) and base = !i + 2 in
+    if Array.length !el <> r then el := Array.make r 0;
+    let el = !el in
+    for k = 0 to steps - 1 do
+      for p = 0 to r - 1 do
+        el.(p) <- s.(base + p) + (k * s.(base + r + p))
+      done;
+      let key = Machine.pack_coords el in
+      if not (Hashtbl.mem tbl key) then Hashtbl.add tbl key (value t slot el)
+    done;
+    i := base + (2 * r)
+  done;
+  Machine.sparse_chunk tbl
+
+let gather t slot fp =
+  if fp.len = 0 then None
+  else
+    let flat =
+      flat_rank fp.rank
+      && Machine.flat_worthy ~count:fp.bound
+           ~volume:(Array.fold_left sat_mul 1 (box_extents fp))
+    in
+    Some (if flat then gather_flat t slot fp else gather_sparse t slot fp)

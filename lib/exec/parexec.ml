@@ -255,6 +255,14 @@ let run ~who ~rule ?(backend = `Compiled) ?(init = Seqexec.default_init)
       arr_names.(slot) ^ "#" ^ string_of_int id
     else arr_names.(slot)
   in
+  (* Each block's copy ids, recorded when its copies are placed (a slot
+     the block never touches stays [None] and faults lazily under its
+     copy name).  Plain names are shared by every block. *)
+  let plain_aids = Array.map Option.some base_aids in
+  let block_aids = Array.make q plain_aids in
+  (* The initial values live once, in host arrays; copies are gathered
+     out of them and the golden run starts from them. *)
+  let host = lazy (Host.make ~init prog nest) in
   (* Liveness under the fault plan.  A dead PE's pending blocks move to
      the survivors by the same cyclic rule the original placement used,
      so recovery is itself a communication-free assignment. *)
@@ -267,18 +275,14 @@ let run ~who ~rule ?(backend = `Compiled) ?(init = Seqexec.default_init)
       let s = Array.of_list survivors in
       s.((id - 1) mod Array.length s)
   in
-  (* Allocation: build each copy set once, then place it — as one
-     pipelined host message per copy when distribution is charged,
-     wholesale otherwise.  Block-local copies go block by block, slot by
-     slot; home copies array by array, PE by PE. *)
+  (* Allocation: build each copy as the chunk it will live in, then
+     place it — as one pipelined host message per copy when distribution
+     is charged, wholesale otherwise.  Block-local copies go block by
+     block, slot by slot; home copies array by array, PE by PE. *)
   let dist_t0 = Machine.host_now machine in
-  let place ~pe name tbl =
-    if charge_distribution then
-      Machine.host_send machine ~pe name
-        (Hashtbl.fold
-           (fun packed v acc -> (Machine.unpack_coords packed, v) :: acc)
-           tbl [])
-    else Machine.install_id machine ~pe (Machine.array_id machine name) tbl
+  let place ~pe aid chunk =
+    if charge_distribution then Machine.host_send_chunk machine ~pe aid chunk
+    else Machine.install_chunk machine ~pe aid chunk
   in
   let homes =
     match rule with
@@ -289,55 +293,78 @@ let run ~who ~rule ?(backend = `Compiled) ?(init = Seqexec.default_init)
   in
   (match rule with
   | Homes ->
+    let host = Lazy.force host in
     Array.iteri
       (fun slot tbl ->
         let per_pe = Array.init nprocs (fun _ -> Hashtbl.create 16) in
         Hashtbl.iter
           (fun packed pe ->
             Hashtbl.add per_pe.(pe) packed
-              (init arr_names.(slot) (Machine.unpack_coords packed)))
+              (Host.value host slot (Machine.unpack_coords packed)))
           tbl;
         Array.iteri
           (fun pe copy ->
-            if Hashtbl.length copy > 0 then place ~pe arr_names.(slot) copy)
+            if Hashtbl.length copy > 0 then
+              place ~pe base_aids.(slot) (Machine.sparse_chunk copy))
           per_pe)
       homes
   | Block_local when allocate ->
-    (* Everything a block's surviving accesses touch, deduplicated by
-       packed coordinates; subscripts evaluate into per-site scratch
-       (this phase is sequential). *)
+    (* A block's copy set, one footprint per array: every surviving
+       access site contributes one strided segment per coset run (the
+       runs the kernels execute), or one element per iteration where
+       the walk cannot batch or [keep] filters statement instances.
+       This phase is sequential, so scratch is shared. *)
+    let host = Lazy.force host in
     let sites = distinct_sites prog in
     let scratch = Compile.scratch sites in
-    let copies id =
-      let tbls = Array.make nslots None in
-      Coset.iter_block ~reuse:true coset ~id (fun iter ->
-          Array.iteri
-            (fun si ss ->
-              if keep ~stmt_index:si iter then
-                Array.iteri (fun i (s : Compile.Site.t) ->
-                    let scr = scratch.(si).(i) in
-                    Compile.Site.eval_into s iter scr;
-                    let slot = s.Compile.Site.slot in
-                    let tbl =
-                      match tbls.(slot) with
-                      | Some t -> t
-                      | None ->
-                        let t = Hashtbl.create 64 in
-                        tbls.(slot) <- Some t;
-                        t
-                    in
-                    let packed = Machine.pack_coords scr in
-                    if not (Hashtbl.mem tbl packed) then
-                      Hashtbl.add tbl packed
-                        (init arr_names.(slot) (Array.copy scr)))
-                  ss)
-            sites);
-      tbls
+    let deltas = Compile.scratch sites in
+    let fps = Array.init nslots (fun _ -> Host.footprint ()) in
+    let record si x ~q ~step ~count =
+      let ss = sites.(si) in
+      for i = 0 to Array.length ss - 1 do
+        let s = ss.(i) in
+        let e = scratch.(si).(i) and d = deltas.(si).(i) in
+        Compile.Site.eval_into s x e;
+        for p = 0 to Array.length d - 1 do
+          d.(p) <- step * s.Compile.Site.h.(p).(q)
+        done;
+        Host.add fps.(s.Compile.Site.slot) e d ~count
+      done
     in
-    (* A node dead on arrival is unmasked by the first send to it; the
-       host then reassigns every pending block of the dead PE over the
-       survivors and resends.  Each pass either drains the pending list
-       or unmasks at least one more dead PE, so this terminates. *)
+    let one x =
+      for si = 0 to Array.length sites - 1 do
+        if keep ~stmt_index:si x then record si x ~q:0 ~step:0 ~count:1
+      done
+    in
+    let run x ~q ~step ~count =
+      match keep_opt with
+      | None ->
+        for si = 0 to Array.length sites - 1 do
+          record si x ~q ~step ~count
+        done
+      | Some _ ->
+        let x0 = x.(q) in
+        for t = 0 to count - 1 do
+          x.(q) <- x0 + (t * step);
+          one x
+        done;
+        x.(q) <- x0
+    in
+    let copies id =
+      Array.iter Host.reset fps;
+      Coset.iter_block_runs coset ~id ~run one;
+      Array.mapi
+        (fun slot fp ->
+          Option.map
+            (fun chunk -> (Machine.array_id machine (copy_name id slot), chunk))
+            (Host.gather host slot fp))
+        fps
+    in
+    (* A node dead on arrival is unmasked by the first send to it (which
+       stores nothing); the host then reassigns every pending block of
+       the dead PE over the survivors and resends the chunks it already
+       built.  Each pass either drains the pending list or unmasks at
+       least one more dead PE, so this terminates. *)
     let pending = ref (List.init q (fun i -> (i + 1, None))) in
     while !pending <> [] do
       let deferred = ref [] in
@@ -346,15 +373,16 @@ let run ~who ~rule ?(backend = `Compiled) ?(init = Seqexec.default_init)
           let pe = owner.(id - 1) in
           if not alive.(pe) then deferred := (id, built) :: !deferred
           else begin
-            let tbls = match built with Some t -> t | None -> copies id in
+            let built = match built with Some b -> b | None -> copies id in
             try
-              Array.iteri
-                (fun slot -> Option.iter (place ~pe (copy_name id slot)))
-                tbls
+              Array.iter
+                (Option.iter (fun (aid, chunk) -> place ~pe aid chunk))
+                built;
+              block_aids.(id - 1) <- Array.map (Option.map fst) built
             with Machine.Pe_crashed { pe } ->
               alive.(pe) <- false;
               dist_crashed := pe :: !dist_crashed;
-              deferred := (id, Some tbls) :: !deferred
+              deferred := (id, Some built) :: !deferred
           end)
         !pending;
       List.iter (fun (id, _) -> owner.(id - 1) <- reassign id) !deferred;
@@ -375,14 +403,38 @@ let run ~who ~rule ?(backend = `Compiled) ?(init = Seqexec.default_init)
   (* Block-local runs record every write's (iteration, statement) stamp
      for the last-writer merge; home copies are validated in place. *)
   let track = validate && rule = Block_local in
+  (* A stamp is one int: the iteration's mixed-radix rank over the
+     nest's bounding box (which orders iterations lexicographically)
+     times the statement count, plus the statement index. *)
+  let stamp =
+    if not track then fun _ _ -> 0
+    else
+      match Nest.bounding_box nest with
+      | None -> fun _ _ -> 0
+      | Some (lo, hi) ->
+        let n = Array.length lo in
+        let radix = Array.make n (Array.length stmts) in
+        for k = n - 2 downto 0 do
+          let ext = hi.(k + 1) - lo.(k + 1) + 1 in
+          if radix.(k + 1) > max_int / ext then
+            fail "iteration space too large to validate";
+          radix.(k) <- radix.(k + 1) * ext
+        done;
+        if radix.(0) > max_int / (hi.(0) - lo.(0) + 1) then
+          fail "iteration space too large to validate";
+        fun iter si ->
+          let r = ref si in
+          for k = 0 to n - 1 do
+            r := !r + ((iter.(k) - lo.(k)) * radix.(k))
+          done;
+          !r
+  in
   (* One execution context per domain: its last-writer table (aid ->
      packed element -> (stamp, value)), subscript scratch — elements
      live only for one access (the machine never retains them, and the
      fault path copies) — and its bound kernels. *)
   let worker () =
-    let lw : (int, (int, (int array * int) * int) Hashtbl.t) Hashtbl.t =
-      Hashtbl.create 64
-    in
+    let lw : (int, (int, int * int) Hashtbl.t) Hashtbl.t = Hashtbl.create 64 in
     let note si iter el v =
       let baid = base_aids.(lslots.(si)) in
       let tbl =
@@ -393,16 +445,15 @@ let run ~who ~rule ?(backend = `Compiled) ?(init = Seqexec.default_init)
           Hashtbl.add lw baid t;
           t
       in
-      let packed = Machine.pack_coords el and stamp = (iter, si) in
+      let packed = Machine.pack_coords el and st = stamp iter si in
       match Hashtbl.find_opt tbl packed with
-      | Some (stamp', _) when compare stamp' stamp > 0 -> ()
-      | _ -> Hashtbl.replace tbl packed (stamp, v)
+      | Some (st', _) when st' > st -> ()
+      | _ -> Hashtbl.replace tbl packed (st, v)
     in
     let scratch = Compile.scratch (Compile.sites prog) in
     (* Interpreted body: one iteration's AST walk over the interned
        machine accessors — the differential oracle for the compiled
-       kernels.  Stamps retain [iter], so a tracking caller must pass
-       fresh vectors. *)
+       kernels. *)
     let interp ~pe ~name copy_aids =
       let aid_of slot el =
         match copy_aids.(slot) with
@@ -498,25 +549,6 @@ let run ~who ~rule ?(backend = `Compiled) ?(init = Seqexec.default_init)
     let remote = ref None in
     let dead_here = ref [] in
     let cur_block = ref 0 in
-    (* Plain names ([allocate = false]) resolve to the same ids for
-       every block, so the lookup is worth one array per round — except
-       that a [None] can still flip to [Some] if a chunk is created
-       mid-run, so only a fully-resolved vector is cached. *)
-    let aids_cache = ref None in
-    let copy_aids_for id =
-      let resolve () =
-        Array.init nslots (fun slot ->
-            Machine.find_array_id machine (copy_name id slot))
-      in
-      if allocate then resolve ()
-      else
-        match !aids_cache with
-        | Some aids -> aids
-        | None ->
-          let aids = resolve () in
-          if Array.for_all Option.is_some aids then aids_cache := Some aids;
-          aids
-    in
     (try
        for id = 1 to q do
          let pe = owner.(id - 1) in
@@ -528,7 +560,7 @@ let run ~who ~rule ?(backend = `Compiled) ?(init = Seqexec.default_init)
            cur_block := id;
            try
              let block_t0 = if obs_on then Machine.pe_now machine pe else 0. in
-             let copy_aids = copy_aids_for id in
+             let copy_aids = block_aids.(id - 1) in
              let name = copy_name id in
              (match backend with
              | `Compiled ->
@@ -537,13 +569,9 @@ let run ~who ~rule ?(backend = `Compiled) ?(init = Seqexec.default_init)
                    "compile"
                    ~args:[ ("block", Cf_obs.Trace.Int id) ];
                let k, run = kernel ~pe ~name copy_aids in
-               (* Validation stamps retain the iteration vector, so only
-                  the non-tracking path may hand the walker's scratch to
-                  batched runs. *)
-               if track then Coset.iter_block coset ~id k
-               else Coset.iter_block_runs coset ~id ~run k
+               Coset.iter_block_runs coset ~id ~run k
              | `Interpreted ->
-               Coset.iter_block ~reuse:(not track) coset ~id
+               Coset.iter_block ~reuse:true coset ~id
                  (interp ~pe ~name copy_aids));
              let bsize = (Coset.block coset ~id).Coset.size in
              Machine.run_iterations machine ~pe bsize;
@@ -570,7 +598,7 @@ let run ~who ~rule ?(backend = `Compiled) ?(init = Seqexec.default_init)
      time. *)
   let run_sequential () =
     let _, interp, kernel = worker () in
-    let aids = Array.map Option.some base_aids in
+    let aids = plain_aids in
     let name = copy_name 0 in
     let body =
       Array.init nprocs (fun pe ->
@@ -666,16 +694,13 @@ let run ~who ~rule ?(backend = `Compiled) ?(init = Seqexec.default_init)
         for id = 1 to q do
           if (not done_blocks.(id - 1)) && not alive.(owner.(id - 1)) then begin
             let to_pe = reassign id in
-            Array.iteri
-              (fun slot _ ->
-                match Machine.find_array_id machine (copy_name id slot) with
-                | None -> ()
-                | Some aid ->
-                  rewords :=
-                    !rewords
-                    + Machine.recover_chunk machine ckpt
-                        ~from_pe:(!ckpt_owner).(id - 1) ~to_pe ~aid)
-              arr_names;
+            Array.iter
+              (Option.iter (fun aid ->
+                   rewords :=
+                     !rewords
+                     + Machine.recover_chunk machine ckpt
+                         ~from_pe:(!ckpt_owner).(id - 1) ~to_pe ~aid))
+              block_aids.(id - 1);
             owner.(id - 1) <- to_pe;
             incr replayed
           end
@@ -692,48 +717,64 @@ let run ~who ~rule ?(backend = `Compiled) ?(init = Seqexec.default_init)
               ]
       end
   done;
+  (* Validation walks the cells the golden run wrote, each looked up by
+     packed key in the merged last writers (or the home copies); only
+     the mismatches are sorted, into the order of the sorted golden
+     bindings. *)
   let mismatches =
     match !remote with
     | _ when not validate -> []
     | Some _ -> []
     | None ->
       let golden =
-        if minimal then Seqexec.run_filtered ~init ~scalar ~keep nest
-        else Seqexec.run ~init ~scalar nest
+        Seqexec.golden ~keep:keep_opt ~scalar prog nest (Lazy.force host)
       in
-      let value_of =
+      let got =
         match rule with
         | Homes ->
-          fun a el ->
-            (match
-               Hashtbl.find_opt homes.(Compile.slot_of prog a)
-                 (Machine.pack_coords el)
-             with
-            | Some pe when Machine.holds machine ~pe a el ->
-              Some (Machine.read machine ~pe a el)
-            | _ -> None)
+          fun slot packed ->
+            (match Hashtbl.find_opt homes.(slot) packed with
+            | Some pe ->
+              let el = Machine.unpack_coords packed in
+              if Machine.holds_id machine ~pe base_aids.(slot) el then
+                Some (Machine.read_id machine ~pe base_aids.(slot) el)
+              else None
+            | None -> None)
         | Block_local ->
-          let merged : (int * int, (int array * int) * int) Hashtbl.t =
-            Hashtbl.create 1024
+          (* The merge folds every table into the first one. *)
+          let merged =
+            match !all_lw with
+            | [] -> Hashtbl.create 1
+            | first :: rest ->
+              List.iter
+                (Hashtbl.iter (fun aid tbl ->
+                     match Hashtbl.find_opt first aid with
+                     | None -> Hashtbl.replace first aid tbl
+                     | Some dst ->
+                       Hashtbl.iter
+                         (fun packed (st, v) ->
+                           match Hashtbl.find_opt dst packed with
+                           | Some (st', _) when st' > st -> ()
+                           | _ -> Hashtbl.replace dst packed (st, v))
+                         tbl))
+                rest;
+              first
           in
-          List.iter
-            (Hashtbl.iter (fun aid ->
-                 Hashtbl.iter (fun packed (stamp, v) ->
-                     match Hashtbl.find_opt merged (aid, packed) with
-                     | Some (stamp', _) when compare stamp' stamp > 0 -> ()
-                     | _ -> Hashtbl.replace merged (aid, packed) (stamp, v))))
-            !all_lw;
-          fun a el ->
-            Option.bind (Machine.find_array_id machine a) (fun aid ->
-                Option.map snd
-                  (Hashtbl.find_opt merged (aid, Machine.pack_coords el)))
+          fun slot packed ->
+            Option.bind (Hashtbl.find_opt merged base_aids.(slot)) (fun tbl ->
+                Option.map snd (Hashtbl.find_opt tbl packed))
       in
-      List.filter_map
-        (fun (a, el, expected) ->
-          let got = value_of a el in
-          if got = Some expected then None
-          else Some (a, el, Some expected, got))
-        (Seqexec.bindings golden)
+      let bad = ref [] in
+      Host.iter_written golden (fun slot packed expected ->
+          let got = got slot packed in
+          if got <> Some expected then
+            bad :=
+              ( arr_names.(slot),
+                Machine.unpack_coords packed,
+                Some expected,
+                got )
+              :: !bad);
+      List.sort compare !bad
   in
   let per_pe_iterations =
     Array.init nprocs (fun pe -> Machine.iterations_of machine ~pe)

@@ -106,15 +106,26 @@ val execute_indexed :
     [exact] supplies the redundancy analysis (computed on demand
     otherwise).  With [~charge_distribution:true] (and [allocate] left
     true), the initial placement is charged to the machine as one
-    pipelined host message per block-local copy, in block-id then array
+    pipelined host message per block-local copy
+    ({!Cf_machine.Machine.host_send_chunk}), in block-id then array
     order — a generic scatter, giving a full makespan (distribution +
     compute) for any plan.  [~validate:false] skips the sequential
     golden run and the last-writer merge — [mismatches] is then always
     empty and the report only certifies communication freedom, not value
     correctness (used for throughput measurements).
 
-    Local memories are compacted to flat buffers after allocation and
-    blocks run on [domains] OCaml domains (default
+    Allocation reads initial values from {!Host} arrays — [init] runs
+    at most once per distinct element the surviving accesses reach —
+    and gathers each copy set along the block's coset runs straight
+    into the chunk it will live in, flat or sparse by the
+    {!Cf_machine.Machine.flat_worthy} policy.  Validation runs
+    {!Seqexec.golden} over a copy of the same host arrays and compares
+    every cell it wrote, by packed key, with the sequentially-latest
+    write the blocks made; [mismatches] lists the differing cells
+    sorted by array name, then element.
+
+    Local memories are compacted after allocation and blocks run on
+    [domains] OCaml domains (default
     [Domain.recommended_domain_count ()], capped by the machine size).
     Domain [d] owns the processors with [pe mod domains = d], so all
     per-processor state stays single-writer; per-processor cost totals
@@ -194,11 +205,12 @@ val execute_fallback :
     message (query the machine's [serviced_*] counters); on a [`Strict]
     machine any such access aborts with [remote_access] set — a
     zero-communication fallback (e.g. of a communication-free nest) runs
-    strict cleanly.  Validation compares every home copy against the
-    sequential golden run; values are bit-for-bit sequential whenever no
-    remote abort occurred, so [ok] holds on any serviced run.  With
-    [~charge_distribution:true] the initial placement is charged as one
-    pipelined host message per (array, PE).  [backend] as in
+    strict cleanly.  Validation compares every cell the sequential
+    golden run wrote with its home copy; values are bit-for-bit
+    sequential whenever no remote abort occurred, so [ok] holds on any
+    serviced run.  With [~charge_distribution:true] the initial
+    placement is charged as one pipelined host message per (array, PE),
+    each home copy built from the {!Host} arrays and sent as one chunk.  [backend] as in
     {!execute_indexed}; both produce identical values and identical
     serviced-message counts.  Raises [Invalid_argument] on a machine
     with a fault plan: replaying only the lost blocks is wrong once flow

@@ -39,84 +39,25 @@ let run_general ?(init = default_init) ?(scalar = default_scalar) ~keep t =
         body);
   memory
 
-(* The compiled engine: one packed-int table per array, the statement
-   bodies bound once through {!Compile} (loop bounds, subscripts,
-   operator dispatch and scalar lookups all resolved up front), and the
-   result decoded into the interpreter's string-keyed memory at the
-   end.  Reads of never-written elements fall back to [init] on every
-   miss, exactly as the interpreter does. *)
+(* The compiled golden run: the statement bodies bound once through
+   {!Compile} against a private copy of the host arrays, the space
+   walked in innermost runs so the batched run kernels apply.  Reads of
+   never-written elements take the host's materialized initial value. *)
+let golden ~keep ~scalar prog nest host =
+  let mem = Host.copy host in
+  let _, run = Compile.bind_run ?keep ~scalar ~target:(Host.target mem) prog in
+  Compile.iter_space_runs nest run;
+  mem
+
 let run_compiled ?(init = default_init) ?(scalar = default_scalar) ~keep t =
   let prog = Compile.make t in
   let arrays = Compile.arrays prog in
-  let tbls =
-    Array.map (fun _ -> (Hashtbl.create 256 : (int, int) Hashtbl.t)) arrays
-  in
-  let reader slot =
-    let tbl = tbls.(slot) in
-    let name = arrays.(slot) in
-    fun el ->
-      match Hashtbl.find_opt tbl (Cf_machine.Machine.pack_coords el) with
-      | Some v -> v
-      | None -> init name (Array.copy el)
-  in
-  let writer slot =
-    let tbl = tbls.(slot) in
-    fun el v -> Hashtbl.replace tbl (Cf_machine.Machine.pack_coords el) v
-  in
-  let via1 f slot =
-    let g = f slot in
-    let sc = [| 0 |] in
-    fun x ->
-      sc.(0) <- x;
-      g sc
-  in
-  let via2 f slot =
-    let g = f slot in
-    let sc = [| 0; 0 |] in
-    fun x0 x1 ->
-      sc.(0) <- x0;
-      sc.(1) <- x1;
-      g sc
-  in
-  let via1w slot =
-    let g = writer slot in
-    let sc = [| 0 |] in
-    fun x v ->
-      sc.(0) <- x;
-      g sc v
-  in
-  let via2w slot =
-    let g = writer slot in
-    let sc = [| 0; 0 |] in
-    fun x0 x1 v ->
-      sc.(0) <- x0;
-      sc.(1) <- x1;
-      g sc v
-  in
-  let target =
-    {
-      Compile.reader;
-      reader1 = via1 reader;
-      reader2 = via2 reader;
-      writer;
-      writer1 = via1w;
-      writer2 = via2w;
-      flat = (fun _ -> None);
-    }
-  in
-  let kernel = Compile.bind ?keep ~scalar ~target prog in
-  Compile.iter_space t kernel;
+  let mem = golden ~keep ~scalar prog t (Host.make ~init prog t) in
   let memory : memory = Hashtbl.create 256 in
-  Array.iteri
-    (fun slot tbl ->
-      let a = arrays.(slot) in
-      Hashtbl.iter
-        (fun packed v ->
-          Hashtbl.replace memory
-            (a, Array.to_list (Cf_machine.Machine.unpack_coords packed))
-            v)
-        tbl)
-    tbls;
+  Host.iter_written mem (fun slot packed v ->
+      Hashtbl.replace memory
+        (arrays.(slot), Array.to_list (Cf_machine.Machine.unpack_coords packed))
+        v);
   memory
 
 let run_backend ~backend ?init ?scalar ~keep t =

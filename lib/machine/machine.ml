@@ -71,13 +71,21 @@ type chain = {
   mutable c_len : int;
 }
 
+(* Array names hash and compare as strings, not polymorphically. *)
+module Names = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
 type t = {
   topology : Topology.t;
   cost : Cost.t;
   faults : Cf_fault.Fault.t option;
   comm_mode : comm_mode;
   memories : (int, chunk) Hashtbl.t array;  (* array id -> chunk, per PE *)
-  ids : (string, int) Hashtbl.t;
+  ids : int Names.t;
   mutable names : string array;  (* id -> name, [0, n_names) valid *)
   mutable n_names : int;
   homes : (int * int, int) Hashtbl.t;  (* (aid, packed el) -> home PE *)
@@ -109,7 +117,7 @@ let create ?faults ?(obs = Cf_obs.Trace.null) ?(comm_mode = `Strict) topology
     comm_mode;
     obs;
     memories = Array.init p (fun _ -> Hashtbl.create 64);
-    ids = Hashtbl.create 64;
+    ids = Names.create 64;
     names = Array.make 16 "";
     n_names = 0;
     homes = Hashtbl.create 64;
@@ -154,7 +162,7 @@ let check_pe m pe =
 (* {2 Interning and coordinate packing} *)
 
 let array_id m a =
-  match Hashtbl.find_opt m.ids a with
+  match Names.find_opt m.ids a with
   | Some id -> id
   | None ->
     let id = m.n_names in
@@ -165,10 +173,10 @@ let array_id m a =
     end;
     m.names.(id) <- a;
     m.n_names <- id + 1;
-    Hashtbl.add m.ids a id;
+    Names.add m.ids a id;
     id
 
-let find_array_id m a = Hashtbl.find_opt m.ids a
+let find_array_id m a = Names.find_opt m.ids a
 
 let array_name m id =
   if id < 0 || id >= m.n_names then invalid_arg "Machine.array_name: unknown id";
@@ -189,13 +197,12 @@ let pack_coords el =
     let bias = 1 lsl (bits - 1) in
     let mask = (1 lsl bits) - 1 in
     let acc = ref 0 in
-    Array.iter
-      (fun c ->
-        let b = c + bias in
-        if b < 0 || b > mask then
-          invalid_arg "Machine: subscript magnitude exceeds packable range";
-        acc := (!acc lsl bits) lor b)
-      el;
+    for i = 0 to d - 1 do
+      let b = el.(i) + bias in
+      if b < 0 || b > mask then
+        invalid_arg "Machine: subscript magnitude exceeds packable range";
+      acc := (!acc lsl bits) lor b
+    done;
     (!acc lsl 3) lor d
   end
 
@@ -475,15 +482,23 @@ let holds_id m ~pe aid el =
   check_pe m pe;
   chunk_find m.memories pe aid el <> None
 
-let install_id m ~pe aid tbl =
-  check_pe m pe;
-  Hashtbl.replace m.memories.(pe) aid (Sparse tbl);
-  (* A wholesale replacement supersedes any journaled cells. *)
+(* The one wholesale install: the chunk replaces whatever (pe, aid)
+   held, and the journal records the replacement as a whole — it
+   supersedes any journaled cells, so the next delta capture copies the
+   chunk once instead of cell by cell. *)
+let install m ~pe aid chunk =
+  Hashtbl.replace m.memories.(pe) aid chunk;
   let j = m.journal.(pe) in
   Hashtbl.replace j.j_whole aid ();
   match Hashtbl.find_opt j.j_cells aid with
   | Some t -> Hashtbl.reset t
   | None -> ()
+
+let install_chunk m ~pe aid chunk =
+  check_pe m pe;
+  install m ~pe aid chunk
+
+let install_id m ~pe aid tbl = install_chunk m ~pe aid (Sparse tbl)
 
 (* {2 Block-bound accessors (compiled execution fast path)}
 
@@ -665,12 +680,39 @@ let local_elements m ~pe =
 
 (* {2 Compaction} *)
 
+(* The flat-vs-sparse policy, shared by {!compact}'s promotion and by
+   callers that build chunks off-machine: a flat buffer pays off once
+   the chunk has a few elements and fills at least an eighth of its
+   bounding box (small boxes are always worth it). *)
+let flat_min_count = 16
+
+let flat_worthy ~volume ~count =
+  count >= flat_min_count && volume <= 1 lsl 24
+  && volume <= max (8 * count) 1024
+
+let sparse_chunk tbl = Sparse tbl
+
+let flat_chunk ~lo ~extents ~data ~present ~count =
+  let volume = Array.length data in
+  if
+    Array.length lo <> Array.length extents
+    || Array.fold_left ( * ) 1 extents <> volume
+    || Bytes.length present <> volume
+  then invalid_arg "Machine.flat_chunk: buffers disagree with the box";
+  let flat =
+    Flat
+      { lo; extents; data; present;
+        dirty = Bytes.make volume '\000';
+        count }
+  in
+  if flat_worthy ~volume ~count then flat else Sparse (demote flat)
+
 (* Promote a sparse chunk when it is populated enough that a flat
    buffer over its bounding box is clearly a win.  Mixed-arity chunks
    (never produced by the compiler pipeline) stay sparse. *)
 let promote tbl =
   let n = Hashtbl.length tbl in
-  if n < 16 then None
+  if n < flat_min_count then None
   else begin
     (* Both passes decode the packed keys in place — no per-element
        arrays; this runs once over every allocated word. *)
@@ -703,7 +745,7 @@ let promote tbl =
       let lo = !lo and hi = !hi in
       let extents = Array.init d (fun i -> hi.(i) - lo.(i) + 1) in
       let volume = Array.fold_left ( * ) 1 extents in
-      if volume > 1 lsl 24 || volume > max (8 * n) 1024 then None
+      if not (flat_worthy ~volume ~count:n) then None
       else begin
         let data = Array.make volume 0 in
         let present = Bytes.make volume '\000' in
@@ -844,14 +886,15 @@ let obs_dist m ~t0 ?(cat = "dist") name args =
     Cf_obs.Trace.complete m.obs ~lane:Cf_obs.Trace.host_lane ~cat ~ts:t0
       ~dur:(m.dist_time -. t0) name ~args
 
-let host_send m ~pe a elements =
-  check_pe m pe;
-  let size = List.length elements in
+(* The one host-to-PE send charge, shared by {!host_send} and
+   {!host_send_chunk}: cut-through startup + size plus pipeline fill over
+   the path, under the fault plan's link noise.  A PE dead during
+   distribution costs one full attempt (the missing ack reveals it) and
+   raises before anything is stored. *)
+let send_charge m ~pe a ~size =
   let hops = Topology.distance m.topology 0 pe + 1 in
+  let t0 = m.dist_time in
   if dead_at_distribution m pe then begin
-    (* The host pays for one full attempt before the missing ack
-       reveals the dead node; nothing is stored. *)
-    let t0 = m.dist_time in
     charge m ~words:(size + hops - 1);
     m.volume <- Cost.sat_add m.volume size;
     obs_dist m ~t0 "send"
@@ -862,15 +905,31 @@ let host_send m ~pe a elements =
         ~args:[ ("phase", Cf_obs.Trace.Str "distribution") ];
     raise (Pe_crashed { pe })
   end;
-  (* Cut-through: startup + size, plus pipeline fill over the path. *)
-  let t0 = m.dist_time in
   charge_send m ~words:(size + hops - 1) ~size;
   m.events <- Send { pe; array = a; size } :: m.events;
   obs_dist m ~t0 "send"
     [ ("pe", Cf_obs.Trace.Int pe); ("array", Cf_obs.Trace.Str a);
-      ("size", Cf_obs.Trace.Int size) ];
-  let aid = array_id m a in
-  List.iter (fun (el, v) -> store_id m ~pe aid el v) elements
+      ("size", Cf_obs.Trace.Int size) ]
+
+(* Delivery into a fresh (pe, array) slot is one wholesale install;
+   into an existing chunk it merges cell by cell, exactly as stores. *)
+let deliver m ~pe aid chunk =
+  if Hashtbl.mem m.memories.(pe) aid then
+    chunk_iter (fun el v -> chunk_store m pe aid el v) chunk
+  else if chunk_count chunk > 0 then install m ~pe aid chunk
+
+let host_send m ~pe a elements =
+  check_pe m pe;
+  let size = List.length elements in
+  send_charge m ~pe a ~size;
+  let tbl = Hashtbl.create (2 * size) in
+  List.iter (fun (el, v) -> Hashtbl.replace tbl (pack_coords el) v) elements;
+  deliver m ~pe (array_id m a) (Sparse tbl)
+
+let host_send_chunk m ~pe aid chunk =
+  check_pe m pe;
+  send_charge m ~pe (array_name m aid) ~size:(chunk_count chunk);
+  deliver m ~pe aid chunk
 
 let host_broadcast m a elements =
   let size = List.length elements in
@@ -1264,15 +1323,8 @@ let recover_chunk m c ~from_pe ~to_pe ~aid =
       [ ("pe", Cf_obs.Trace.Int to_pe);
         ("array", Cf_obs.Trace.Str (array_name m aid));
         ("size", Cf_obs.Trace.Int size) ];
-    (* The rebuild is already a private copy; install it directly and
-       journal the wholesale replacement so the next delta capture
-       carries it. *)
-    Hashtbl.replace m.memories.(to_pe) aid chunk;
-    let j = m.journal.(to_pe) in
-    Hashtbl.replace j.j_whole aid ();
-    (match Hashtbl.find_opt j.j_cells aid with
-    | Some t -> Hashtbl.reset t
-    | None -> ());
+    (* The rebuild is already a private copy: install it wholesale. *)
+    install m ~pe:to_pe aid chunk;
     size
 
 let trace m = List.rev m.events

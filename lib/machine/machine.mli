@@ -176,25 +176,69 @@ val flat_view :
     inlines the offset arithmetic and falls back to {!reader1}-style
     closures only on miss. *)
 
+(** {2 Chunks built off-machine}
+
+    A chunk is one array's elements on one processor, flat (a row-major
+    buffer over the elements' bounding box with a presence bitmap) or
+    sparse (a {!pack_coords} key to value table).  Executors build the
+    chunk a copy will live in before placing it, and hand it over
+    wholesale: {!install_chunk} for free placement, {!host_send_chunk}
+    for a charged one. *)
+
+type chunk
+
+val flat_worthy : volume:int -> count:int -> bool
+(** The flat-vs-sparse policy, the one {!compact} promotes by: a chunk
+    of [count] elements whose bounding box holds [volume] cells is flat
+    iff it has at least 16 elements and fills at least an eighth of the
+    box (any box of at most 1024 cells qualifies; none beyond 2{^24}).
+    Monotone in [count], so a builder holding only an upper bound on the
+    element count can rule flat storage out before allocating a box. *)
+
+val sparse_chunk : (int, int) Hashtbl.t -> chunk
+(** A sparse chunk over a {!pack_coords} key to value table (ownership
+    taken).  {!compact} promotes it later if it qualifies. *)
+
+val flat_chunk :
+  lo:int array ->
+  extents:int array ->
+  data:int array ->
+  present:Bytes.t ->
+  count:int ->
+  chunk
+(** A chunk over the box [lo .. lo + extents − 1]: [data] row-major,
+    an element present iff its [present] byte is nonzero, [count]
+    present elements (buffers owned by the chunk from here on).  When
+    [count] fails {!flat_worthy} the chunk is demoted to sparse, so a
+    built chunk has exactly the representation {!compact} would give
+    it.  Raises [Invalid_argument] when the buffers disagree with the
+    box. *)
+
+val install_chunk : t -> pe:int -> int -> chunk -> unit
+(** [install_chunk m ~pe aid c] makes [c] PE [pe]'s local memory for
+    array [aid], replacing any existing chunk, free of charge.  The
+    journal records one wholesale replacement (the next delta capture
+    copies the chunk once), the same entry {!recover_chunk} writes. *)
+
 val install_id : t -> pe:int -> int -> (int, int) Hashtbl.t -> unit
-(** [install_id m ~pe aid tbl] installs [tbl] — a {!pack_coords} key to
-    value table — as PE [pe]'s local memory for array [aid], replacing
-    any existing chunk and taking ownership of [tbl].  Bulk-allocation
-    fast path: equivalent to [store_id] per binding, but with a single
-    memory-map update. *)
+(** [install_id m ~pe aid tbl] is [install_chunk m ~pe aid
+    (sparse_chunk tbl)]: equivalent to [store_id] per binding, but with
+    a single memory-map update. *)
 
 val compact : t -> unit
 (** Promote densely-populated local arrays to flat contiguous buffers
     addressed by affine linearization of their bounding box (with a
     presence bitmap, so [holds]/{!Remote_access} semantics are exactly
-    preserved).  Call after distribution, before execution; stores
-    landing outside a compacted box transparently fall back to sparse
-    storage.
+    preserved), by the {!flat_worthy} policy.  Call after distribution,
+    before execution; stores landing outside a compacted box
+    transparently fall back to sparse storage.  Chunks that are already
+    flat (built by {!flat_chunk}) are left as they are.
 
     On a machine carrying a fault plan, compaction additionally folds
     the cold write journal into a fresh delta-chain base: the sparse
     tables promotion is about to discard are donated to the snapshot
-    (zero copying for every promoted chunk), so the first delta
+    (zero copying for every promoted chunk), chunks that are born flat
+    or stay sparse enter it as private copies, so the first delta
     checkpoint after [compact] captures only the writes made since. *)
 
 (** {1 Host distribution (charges time, stores data)} *)
@@ -203,13 +247,27 @@ val host_send :
   t -> pe:int -> string -> (int array * int) list -> unit
 (** One cut-through (pipelined) message from the host to [pe]:
     [t_start + (size + hops − 1)·t_comm] with hops = distance(0, pe) + 1
-    (the host attaches at rank 0).  Sending row blocks to each processor
-    in turn reproduces the paper's [p·t_start + M²·t_comm] term of T2.
+    (the host attaches at rank 0), [size] the list length.  Sending row
+    blocks to each processor in turn reproduces the paper's
+    [p·t_start + M²·t_comm] term of T2.  When [pe] holds nothing of the
+    array yet, the elements arrive as one fresh chunk installed
+    wholesale (as {!install_chunk}); otherwise they merge into the
+    existing chunk cell by cell, as {!store} would.
 
     Under a fault plan: dropped/corrupted attempts are each charged in
-    full before the successful retransmission; if [pe] is dead during
-    distribution, one full attempt is charged (the missing ack reveals
-    the dead node), nothing is stored, and {!Pe_crashed} is raised. *)
+    full before the successful retransmission (one fault-RNG draw per
+    send); if [pe] is dead during distribution, one full attempt is
+    charged (the missing ack reveals the dead node), nothing is stored,
+    and {!Pe_crashed} is raised. *)
+
+val host_send_chunk : t -> pe:int -> int -> chunk -> unit
+(** [host_send_chunk m ~pe aid c] ships a built chunk to [pe] as one
+    host message: exactly {!host_send}'s charge, trace event and fault
+    behaviour for a message of as many elements as [c] holds, of array
+    [array_name m aid], and exactly its delivery — wholesale when [pe]
+    holds nothing of the array, merged cell by cell otherwise.  A PE
+    dead during distribution stores nothing, so the caller still owns
+    [c] and may send it elsewhere. *)
 
 val host_broadcast : t -> string -> (int array * int) list -> unit
 (** Broadcast to {e every} processor by store-and-forward flooding along

@@ -9,7 +9,13 @@
     [Pipeline.plan].  The full canonical serialization is stored with
     each entry and compared on hit, so a digest collision degrades to a
     miss instead of a wrong plan.  Domain-safe: the memo cache is locked,
-    planning itself runs unlocked. *)
+    planning itself runs unlocked.
+
+    Concurrent misses on one key are coalesced (single flight): the
+    first plans it, and every later request for the key waits until
+    that plan lands, then hits — so the key costs exactly one miss
+    however many domains ask at once.  If the leader raises, its
+    waiters wake and retry, and one of them leads anew. *)
 
 type t
 

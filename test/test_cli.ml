@@ -232,6 +232,43 @@ let cases =
         List.iter
           (fun f -> try Sys.remove f with Sys_error _ -> ())
           [ baseline; current ]);
+    Alcotest.test_case "bench-diff fails on simulated drift" `Slow (fun () ->
+        let write_json name contents =
+          let f = Filename.temp_file name ".json" in
+          let oc = open_out f in
+          output_string oc contents;
+          close_out oc;
+          f
+        in
+        let report ~t ~makespan ~domains =
+          Printf.sprintf
+            {|{"bench": "parexec-scale", "rows": [{"workload": "matmul", "size": 8, "t_s": %g, "domains": %d, "blocks": 4, "makespan_s": %g}]}|}
+            t domains makespan
+        in
+        let baseline =
+          write_json "bench_base" (report ~t:1. ~makespan:0.5 ~domains:1)
+        in
+        let wall =
+          write_json "bench_wall" (report ~t:2. ~makespan:0.5 ~domains:2)
+        in
+        let drift =
+          write_json "bench_drift" (report ~t:1. ~makespan:0.51 ~domains:1)
+        in
+        (match run_cli [ "bench-diff"; baseline; wall ] with
+        | None -> ()
+        | Some (status, out) ->
+          check_int "wall-clock and domains drift only warn" 0 status;
+          check_bool "warns" true (contains out "WARN");
+          check_bool "no failure" false (contains out "FAIL"));
+        (match run_cli [ "bench-diff"; baseline; drift ] with
+        | None -> ()
+        | Some (status, out) ->
+          check_int "simulated drift exits 1" 1 status;
+          check_bool "names the metric" true
+            (contains out "FAIL .rows[matmul,size=8].makespan_s"));
+        List.iter
+          (fun f -> try Sys.remove f with Sys_error _ -> ())
+          [ baseline; wall; drift ]);
     expect_ok "fuzz --help documents the subcommand"
       [ "fuzz"; "--help=plain" ]
       [ "--seed"; "--count"; "--oracle"; "--corpus-dir";

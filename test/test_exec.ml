@@ -573,6 +573,184 @@ let properties =
       arbitrary_nest;
   ]
 
+(* {2 The flat data path}
+
+   Host arrays, gathered copies and the flat golden run: what they may
+   allocate, how often they call [init], and what validation reports. *)
+
+let cyclic2 = Parexec.cyclic ~nprocs:2
+let machine2 () = Cf_machine.Machine.create (Cf_machine.Topology.linear 2)
+    Cf_machine.Cost.transputer
+
+let allocated_words f =
+  let s0 = Gc.quick_stat () in
+  let r = f () in
+  let s1 = Gc.quick_stat () in
+  ( r,
+    s1.Gc.minor_words -. s0.Gc.minor_words
+    +. (s1.Gc.major_words -. s0.Gc.major_words)
+    -. (s1.Gc.promoted_words -. s0.Gc.promoted_words) )
+
+let flat_path_cases =
+  [
+    Alcotest.test_case "a strided footprint stays sparse" `Quick (fun () ->
+        (* One block of 1000 iterations whose copy of A spans a box of
+           1024001 cells with 1001 elements in it. *)
+        let nest =
+          Cf_loop.Parse.nest
+            "for i = 1 to 1000\n  A[1024*i] := A[1024*i - 1024] + 1;\nend\n"
+        in
+        let plan = Cf_pipeline.Pipeline.plan ~strategy:Strategy.Nonduplicate nest in
+        check_int "one block" 1 (Cf_pipeline.Pipeline.block_count plan);
+        let machine = machine2 () in
+        let r, words =
+          allocated_words (fun () ->
+              Parexec.execute ~machine ~placement:cyclic2
+                ~strategy:Strategy.Nonduplicate plan.Cf_pipeline.Pipeline.partition)
+        in
+        check_bool "validated" true (Parexec.ok r);
+        check_int "the copy holds the footprint" 1001
+          (Cf_machine.Machine.memory_words machine ~pe:0);
+        let aid = Option.get (Cf_machine.Machine.find_array_id machine "A#1") in
+        check_bool "the copy is sparse" true
+          (Cf_machine.Machine.flat_view machine ~pe:0 aid = None);
+        (* A flat copy (or host array) over the box alone would cost
+           over a million words. *)
+        check_bool
+          (Printf.sprintf "allocation (%.0f words) far below the box" words)
+          true (words < 400_000.));
+    Alcotest.test_case "init runs once per distinct accessed element" `Quick
+      (fun () ->
+        let accessed nest =
+          let seen = Hashtbl.create 64 in
+          let idx = Cf_loop.Nest.indices nest in
+          Cf_loop.Nest.iter_space nest (fun iter ->
+              let index v =
+                let rec go k = if idx.(k) = v then iter.(k) else go (k + 1) in
+                go 0
+              in
+              List.iter
+                (fun (s : Cf_loop.Stmt.t) ->
+                  List.iter
+                    (fun (r : Cf_loop.Aref.t) ->
+                      Hashtbl.replace seen
+                        (r.Cf_loop.Aref.array,
+                         Array.to_list (Cf_loop.Aref.eval index r))
+                        ())
+                    (s.Cf_loop.Stmt.lhs :: Cf_loop.Stmt.reads s))
+                nest.Cf_loop.Nest.body);
+          seen
+        in
+        let counting () =
+          let calls = Hashtbl.create 64 in
+          let init a el =
+            let k = (a, Array.to_list el) in
+            Hashtbl.replace calls k
+              (1 + Option.value ~default:0 (Hashtbl.find_opt calls k));
+            Seqexec.default_init a el
+          in
+          (calls, init)
+        in
+        let exactly_once what nest calls =
+          let want = accessed nest in
+          check_int (what ^ ": one call per accessed element")
+            (Hashtbl.length want) (Hashtbl.length calls);
+          Hashtbl.iter
+            (fun k n ->
+              check_bool (what ^ ": accessed") true (Hashtbl.mem want k);
+              check_int (what ^ ": called once") 1 n)
+            calls
+        in
+        List.iter
+          (fun (name, nest, strategy) ->
+            let plan = Cf_pipeline.Pipeline.plan ~strategy nest in
+            let calls, init = counting () in
+            let r =
+              Parexec.execute ~init ~charge_distribution:true
+                ~machine:(machine2 ()) ~placement:cyclic2 ~strategy
+                plan.Cf_pipeline.Pipeline.partition
+            in
+            check_bool (name ^ ": validated") true (Parexec.ok r);
+            exactly_once name nest calls;
+            let calls, init = counting () in
+            let r =
+              Parexec.execute_fallback ~init
+                ~machine:
+                  (Cf_machine.Machine.create ~comm_mode:`Service
+                     (Cf_machine.Topology.linear 2) Cf_machine.Cost.transputer)
+                ~placement:cyclic2 plan.Cf_pipeline.Pipeline.partition
+            in
+            check_bool (name ^ " homes: validated") true (Parexec.ok r);
+            exactly_once (name ^ " homes") nest calls)
+          [
+            ("L1", l1, Strategy.Nonduplicate);
+            ("L2", l2, Strategy.Duplicate);
+            ("matmul", Matmul.nest ~m:4, Strategy.Duplicate);
+            ("stencil3d", Cf_workloads.Workloads.stencil_3d.build ~size:4,
+             Strategy.Duplicate);
+          ]);
+    Alcotest.test_case "bulk and element-wise distribution agree on every kernel"
+      `Quick (fun () ->
+        (* Size 6 keeps every copy small (sparse); rank1 at 20 gathers
+           flat row copies. *)
+        let rank1 = Cf_workloads.Workloads.rank1_update.build ~size:20 in
+        let plan = Cf_pipeline.Pipeline.plan ~strategy:Strategy.Nonduplicate rank1 in
+        let machine = machine2 () in
+        ignore
+          (Parexec.execute ~charge_distribution:true ~machine
+             ~placement:cyclic2 ~strategy:Strategy.Nonduplicate
+             plan.Cf_pipeline.Pipeline.partition);
+        let aid = Option.get (Cf_machine.Machine.find_array_id machine "A#1") in
+        check_bool "rank1@20 gathers flat copies" true
+          (Cf_machine.Machine.flat_view machine ~pe:0 aid <> None);
+        let oracle = Option.get (Cf_check.Oracle.find "parexec-vs-seq") in
+        List.iter
+          (fun (name, nest) ->
+            match Cf_check.Oracle.check oracle nest with
+            | Cf_check.Oracle.Pass | Cf_check.Oracle.Skip _ -> ()
+            | Cf_check.Oracle.Fail msg -> Alcotest.failf "%s: %s" name msg)
+          (("rank1@20", rank1)
+          :: List.map
+               (fun (k : Cf_workloads.Workloads.kernel) ->
+                 (k.Cf_workloads.Workloads.name ^ "@6", k.build ~size:6))
+               Cf_workloads.Workloads.all));
+    Alcotest.test_case "a failing validation keeps its mismatch order" `Quick
+      (fun () ->
+        let nest =
+          Cf_loop.Parse.nest
+            "for i = 1 to 3\n  for j = 1 to 3\n    A[i, j] := B[i, j] + 1;\n    C[j, i] := B[i, j] * 2;\n  end\nend\n"
+        in
+        let plan = Cf_pipeline.Pipeline.plan ~strategy:Strategy.Nonduplicate nest in
+        let m = machine2 () in
+        (* Everything pre-placed on both PEs, two inputs wrong. *)
+        for pe = 0 to 1 do
+          for i = 1 to 3 do
+            for j = 1 to 3 do
+              let b =
+                if (i, j) = (2, 2) || (i, j) = (3, 1) then 999
+                else Seqexec.default_init "B" [| i; j |]
+              in
+              Cf_machine.Machine.store m ~pe "B" [| i; j |] b;
+              Cf_machine.Machine.store m ~pe "A" [| i; j |] 0;
+              Cf_machine.Machine.store m ~pe "C" [| j; i |] 0
+            done
+          done
+        done;
+        let r =
+          Parexec.execute ~allocate:false ~machine:m ~placement:cyclic2
+            ~strategy:Strategy.Nonduplicate plan.Cf_pipeline.Pipeline.partition
+        in
+        (* Sorted by array name, then element. *)
+        check_bool "mismatches, in order" true
+          (r.Parexec.mismatches
+          = [
+              ("A", [| 2; 2 |], Some 996, Some 1000);
+              ("A", [| 3; 1 |], Some 929, Some 1000);
+              ("C", [| 1; 3 |], Some 1856, Some 1998);
+              ("C", [| 2; 2 |], Some 1990, Some 1998);
+            ]));
+  ]
+
 let suites =
   [
     ("seqexec", seq_cases);
@@ -584,4 +762,5 @@ let suites =
     ("estimate", estimate_cases);
     ("matmul", matmul_cases);
     ("exec-properties", properties);
+    ("exec-flat-path", flat_path_cases);
   ]

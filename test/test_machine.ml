@@ -435,6 +435,175 @@ let checkpoint_cases =
         check_int "values intact" 45 (Machine.read m ~pe:0 "A" [| 4; 5 |]));
   ]
 
+(* {2 Bulk chunk sends}
+
+   [host_send_chunk] against [host_send] on the same elements: the two
+   must be indistinguishable — charge, trace, resident data, the journal
+   a following delta checkpoint captures, and every fault path. *)
+
+let chunk_of elements =
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun (el, v) -> Hashtbl.replace tbl (Machine.pack_coords el) v)
+    elements;
+  Machine.sparse_chunk tbl
+
+(* The same elements as a flat chunk over their [lo, hi] box. *)
+let flat_of ~lo ~hi elements =
+  let extents = Array.map2 (fun l h -> h - l + 1) lo hi in
+  let volume = Array.fold_left ( * ) 1 extents in
+  let data = Array.make volume 0 and present = Bytes.make volume '\000' in
+  List.iter
+    (fun (el, v) ->
+      let off = ref 0 in
+      Array.iteri (fun p x -> off := (!off * extents.(p)) + (x - lo.(p))) el;
+      data.(!off) <- v;
+      Bytes.set present !off '\001')
+    elements;
+  Machine.flat_chunk ~lo ~extents ~data ~present
+    ~count:(List.length elements)
+
+let same_machines what m1 m2 =
+  let tag s = what ^ ": " ^ s in
+  check_int (tag "messages") (Machine.message_count m1)
+    (Machine.message_count m2);
+  check_int (tag "volume") (Machine.message_volume m1)
+    (Machine.message_volume m2);
+  check_bool (tag "distribution time bit-identical") true
+    (Machine.distribution_time m1 = Machine.distribution_time m2);
+  check_bool (tag "trace") true (Machine.trace m1 = Machine.trace m2);
+  check_int (tag "retries") (Machine.retries m1) (Machine.retries m2);
+  check_int (tag "dropped") (Machine.dropped_messages m1)
+    (Machine.dropped_messages m2);
+  check_int (tag "corrupted") (Machine.corrupted_messages m1)
+    (Machine.corrupted_messages m2);
+  for pe = 0 to Topology.size (Machine.topology m1) - 1 do
+    check_bool (tag (Printf.sprintf "PE%d memory" pe)) true
+      (Machine.local_elements m1 ~pe = Machine.local_elements m2 ~pe)
+  done
+
+let grid n = List.init n (fun i -> ([| i / 8; i mod 8 |], 100 + i))
+
+let bulk_cases =
+  [
+    Alcotest.test_case "bulk send into a fresh chunk equals host_send" `Quick
+      (fun () ->
+        let elements = grid 40 in
+        List.iter
+          (fun (shape, chunk) ->
+            let m1 = Machine.create (Topology.linear 4) Cost.transputer in
+            let m2 = Machine.create (Topology.linear 4) Cost.transputer in
+            (* An empty base first, so the next capture is a delta. *)
+            ignore (Machine.checkpoint m1);
+            ignore (Machine.checkpoint m2);
+            Machine.host_send m1 ~pe:3 "A" elements;
+            Machine.host_send_chunk m2 ~pe:3 (Machine.array_id m2 "A") chunk;
+            same_machines shape m1 m2;
+            check_int (shape ^ ": delta checkpoint words")
+              (Machine.checkpoint_words (Machine.checkpoint m1))
+              (Machine.checkpoint_words (Machine.checkpoint m2)))
+          [
+            ("sparse", chunk_of elements);
+            ("flat", flat_of ~lo:[| 0; 0 |] ~hi:[| 4; 7 |] elements);
+          ]);
+    Alcotest.test_case "bulk merge into an existing chunk equals host_send"
+      `Quick (fun () ->
+        let first = grid 40 in
+        (* Overlaps the resident chunk and spills outside its box. *)
+        let second =
+          List.init 12 (fun i -> ([| 3 + (i / 4); i mod 4 |], 500 + i))
+        in
+        List.iter
+          (fun compact ->
+            let m1 = Machine.create (Topology.linear 4) Cost.transputer in
+            let m2 = Machine.create (Topology.linear 4) Cost.transputer in
+            List.iter
+              (fun m ->
+                Machine.host_send m ~pe:2 "A" first;
+                if compact then Machine.compact m;
+                ignore (Machine.checkpoint m))
+              [ m1; m2 ];
+            Machine.host_send m1 ~pe:2 "A" second;
+            Machine.host_send_chunk m2 ~pe:2 (Machine.array_id m2 "A")
+              (chunk_of second);
+            let what = if compact then "into flat" else "into sparse" in
+            same_machines what m1 m2;
+            check_int (what ^ ": delta checkpoint words")
+              (Machine.checkpoint_words (Machine.checkpoint m1))
+              (Machine.checkpoint_words (Machine.checkpoint m2)))
+          [ false; true ]);
+    Alcotest.test_case "bulk send to a PE dead at distribution" `Quick
+      (fun () ->
+        let machine () =
+          Machine.create
+            ~faults:
+              (Cf_fault.Fault.make ~procs:4
+                 { Cf_fault.Fault.none with kills = [ (2, 0) ] })
+            (Topology.linear 4) Cost.transputer
+        in
+        let m1 = machine () and m2 = machine () in
+        let elements = grid 20 in
+        let crashed f =
+          match f () with
+          | () -> Alcotest.fail "expected Pe_crashed"
+          | exception Machine.Pe_crashed { pe } -> check_int "dead pe" 2 pe
+        in
+        crashed (fun () -> Machine.host_send m1 ~pe:2 "A" elements);
+        let chunk = chunk_of elements in
+        crashed (fun () ->
+            Machine.host_send_chunk m2 ~pe:2 (Machine.array_id m2 "A") chunk);
+        same_machines "dead PE" m1 m2;
+        check_int "nothing stored" 0 (Machine.memory_words m2 ~pe:2);
+        (* The caller still owns the chunk and can place it elsewhere. *)
+        Machine.host_send m1 ~pe:1 "A" elements;
+        Machine.host_send_chunk m2 ~pe:1 (Machine.array_id m2 "A") chunk;
+        same_machines "resent to a survivor" m1 m2);
+    Alcotest.test_case "bulk sends over a lossy link draw like host_send"
+      `Quick (fun () ->
+        let machine () =
+          Machine.create
+            ~faults:
+              (Cf_fault.Fault.make ~procs:4
+                 {
+                   Cf_fault.Fault.none with
+                   seed = 9;
+                   drop_rate = 0.4;
+                   corrupt_rate = 0.2;
+                   max_attempts = 8;
+                 })
+            (Topology.linear 4) Cost.transputer
+        in
+        let m1 = machine () and m2 = machine () in
+        for i = 0 to 29 do
+          let name = Printf.sprintf "A%d" i in
+          let elements = grid (1 + (i mod 5)) in
+          Machine.host_send m1 ~pe:(i mod 4) name elements;
+          Machine.host_send_chunk m2 ~pe:(i mod 4) (Machine.array_id m2 name)
+            (chunk_of elements)
+        done;
+        check_bool "retries happened" true (Machine.retries m2 > 0);
+        same_machines "lossy link" m1 m2);
+    Alcotest.test_case "flat_chunk demotes what compact would not promote"
+      `Quick (fun () ->
+        let m = Machine.create (Topology.linear 1) Cost.transputer in
+        (* Four elements at the corners of a 64x64 box: sparse. *)
+        let corners =
+          [ ([| 0; 0 |], 1); ([| 0; 63 |], 2); ([| 63; 0 |], 3); ([| 63; 63 |], 4) ]
+        in
+        let aid = Machine.array_id m "A" in
+        Machine.install_chunk m ~pe:0 aid
+          (flat_of ~lo:[| 0; 0 |] ~hi:[| 63; 63 |] corners);
+        check_bool "demoted to sparse" true (Machine.flat_view m ~pe:0 aid = None);
+        check_int "all four resident" 4 (Machine.memory_words m ~pe:0);
+        let dense = grid 40 in
+        let bid = Machine.array_id m "B" in
+        Machine.install_chunk m ~pe:0 bid (flat_of ~lo:[| 0; 0 |] ~hi:[| 4; 7 |] dense);
+        check_bool "dense stays flat" true (Machine.flat_view m ~pe:0 bid <> None);
+        check_bool "policy agrees" true
+          (Machine.flat_worthy ~volume:40 ~count:40
+          && not (Machine.flat_worthy ~volume:4096 ~count:4)));
+  ]
+
 let suites =
   [
     ("topology", topology_cases);
@@ -443,4 +612,5 @@ let suites =
     ("trace", trace_cases);
     ("memory", memory_cases);
     ("memory.checkpoint", checkpoint_cases);
+    ("memory.bulk", bulk_cases);
   ]

@@ -524,9 +524,68 @@ let jitter_cases =
         Service.shutdown svc);
   ]
 
+(* Single-flight planning: concurrent misses on one key cost one plan. *)
+let single_flight_cases =
+  [
+    Alcotest.test_case "8 identical requests on 4 domains miss once" `Quick
+      (fun () ->
+        let svc = Service.create ~domains:4 ~queue_depth:8 () in
+        let nest = l5 ~m:4 in
+        let outcomes = Service.plan_many svc (List.init 8 (fun _ -> nest)) in
+        List.iter
+          (function
+            | Service.Done c ->
+              check_string "matches sequential"
+                (describe (Cf_pipeline.Pipeline.plan nest))
+                (describe c.Service.plan)
+            | o -> Alcotest.failf "unexpected outcome %a" Service.pp_outcome o)
+          outcomes;
+        check_int "one cold answer" 1
+          (List.length
+             (List.filter
+                (function
+                  | Service.Done c -> not c.Service.cache_hit | _ -> false)
+                outcomes));
+        (match (Service.stats svc).Service.cache with
+        | None -> Alcotest.fail "cache expected on"
+        | Some c ->
+          check_int "exactly one miss" 1 c.Cf_cache.Memo.misses;
+          check_int "the rest hit" 7 c.Cf_cache.Memo.hits);
+        Service.shutdown svc);
+    Alcotest.test_case "a raising leader wakes its waiters" `Quick (fun () ->
+        (* Non-uniformly generated: planning raises, so every request
+           leads in turn and must fail rather than wait forever. *)
+        let bad =
+          Cf_loop.Parse.nest "for i = 1 to 4\n  A[i, i] := A[i+1, 2*i] + 1;\nend\n"
+        in
+        let planner = Planner.create () in
+        let start = Atomic.make 0 in
+        let request () =
+          Atomic.incr start;
+          while Atomic.get start < 4 do
+            Domain.cpu_relax ()
+          done;
+          List.init 2 (fun _ ->
+              match Planner.plan planner bad with
+              | _ -> false
+              | exception Invalid_argument _ -> true)
+        in
+        let results =
+          List.concat_map Domain.join (List.init 4 (fun _ -> Domain.spawn request))
+        in
+        check_int "every request raised" 8
+          (List.length (List.filter Fun.id results));
+        (* A flight left behind would hang this request. *)
+        check_bool "the failed key still raises" true
+          (match Planner.plan planner bad with
+          | _ -> false
+          | exception Invalid_argument _ -> true));
+  ]
+
 let suites =
   [
     ("service-determinism", deterministic_cases);
+    ("service-single-flight", single_flight_cases);
     ("service-pressure", pressure_cases);
     ("service-lifecycle", lifecycle_cases);
     ("service-resilience", resilience_cases);
