@@ -38,11 +38,11 @@ end
     (Format.pp_print_list
        ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
        Cf_linalg.Vec.pp_int)
-    (Exact.useful_vectors exact "A")
+    (Exact.dep_vectors (Exact.useful_deps exact) "A")
     (Format.pp_print_list
        ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
        Cf_linalg.Vec.pp_int)
-    (Exact.useful_vectors ~kinds:[ Kind.Flow ] exact "A");
+    (Exact.dep_vectors ~kinds:[ Kind.Flow ] (Exact.useful_deps exact) "A");
 
   (* Strategy ladder: duplicate alone does not help; elimination does. *)
   List.iter

@@ -434,11 +434,138 @@ let cgen_roundtrip nest =
     end
 
 (* fallback-vs-seq: the communication-minimal tier end to end.  The
-   fallback plan of any nest (rejected by the theorems or not) must
-   execute bit-for-bit sequentially on a service-mode machine, its
-   serviced message count must equal the planner's prediction on both
-   statement-body backends, and a communication-free nest must degrade
-   to the exact zero-volume plan. *)
+   planner shares one analysis value across the theorems and scores its
+   candidates on the closed-form index, so its plan is first rebuilt
+   from the unshared references: each theorem verdict from its own
+   [Strategy.partitioning_space] under the planner's rule (a minimal
+   theorem is skipped above the exact-analysis limit), each ranked
+   candidate's estimate from the materialized [Iter_partition], and the
+   choice from those partitions' block counts.  The fallback plan of any
+   nest (rejected by the theorems or not) must then execute bit-for-bit
+   sequentially on a service-mode machine, its serviced message count
+   must equal the planner's prediction on both statement-body backends,
+   and a communication-free nest must degrade to the exact zero-volume
+   plan. *)
+
+module Mincomm = Cf_mincomm.Mincomm
+
+let reference_verdict nest strategy =
+  let parallelism exact =
+    try
+      Some
+        (Strategy.parallelism_degree
+           (Strategy.partitioning_space ?exact strategy nest))
+    with _ -> None
+  in
+  if not (Strategy.uses_exact_analysis strategy) then parallelism None
+  else if Nest.cardinal nest > Cf_dep.Exact.analysis_limit then None
+  else
+    match Cf_dep.Exact.analyze nest with
+    | exact -> parallelism (Some exact)
+    | exception _ -> None
+
+let pp_parallelism ppf = function
+  | Some p -> Format.fprintf ppf "parallelism %d" p
+  | None -> Format.pp_print_string ppf "skipped"
+
+let fallback_matches_reference nest (mc : Mincomm.t) =
+  let placement = Cf_exec.Parexec.cyclic ~nprocs in
+  (* candidate, scored estimate, reference block count and estimate *)
+  let reference =
+    List.map
+      (fun ((c : Mincomm.candidate), e) ->
+        let partition = Iter_partition.make nest c.space in
+        ( c,
+          e,
+          Iter_partition.block_count partition,
+          Mincomm.estimate_partition ~placement partition ))
+      mc.ranked
+  in
+  let expected_choice =
+    match List.find_opt (fun (_, _, blocks, _) -> blocks >= 2) reference with
+    | Some (c, _, _, _) -> Some c
+    | None -> Option.map (fun (c, _, _, _) -> c) (List.nth_opt reference 0)
+  in
+  let verdicts = List.map (reference_verdict nest) Strategy.all in
+  match
+    List.find_opt
+      (fun ((v : Mincomm.verdict), r) -> v.parallelism <> r)
+      (List.combine mc.theorems verdicts)
+  with
+  | exception Invalid_argument _ ->
+    failf "%d theorem verdict(s), expected %d" (List.length mc.theorems)
+      (List.length Strategy.all)
+  | Some (v, r) ->
+    failf "theorem %d: %a, reference %a"
+      (Mincomm.theorem_number v.strategy)
+      pp_parallelism v.parallelism pp_parallelism r
+  | None -> (
+    match List.find_opt (fun (_, e, _, r) -> e <> r) reference with
+    | Some (c, e, _, r) ->
+      failf
+        "candidate %s: scored %d message(s) over %d block(s), reference \
+         partition %d over %d"
+        c.origin e.messages (Array.length e.per_block) r.messages
+        (Array.length r.per_block)
+    | None -> (
+      match expected_choice with
+      | None -> Fail "no candidate was ranked"
+      | Some c when not (String.equal c.origin mc.choice.origin) ->
+        failf "choice %s, reference ranking chooses %s" mc.choice.origin
+          c.origin
+      | Some _ ->
+        let choice_blocks =
+          Coset.block_count (Coset.make nest mc.choice.space)
+        in
+        if choice_blocks <> Iter_partition.block_count mc.partition then
+          failf "choice %s: %d indexed block(s) vs %d materialized"
+            mc.choice.origin choice_blocks
+            (Iter_partition.block_count mc.partition)
+        else if
+          not
+            (Cf_linalg.Subspace.equal mc.choice.space
+               (Iter_partition.space mc.partition))
+        then
+          failf "choice %s: partition is not over its space" mc.choice.origin
+        else Pass))
+
+let fallback_runs_sequential nest (mc : Mincomm.t) =
+  let origin = mc.choice.origin in
+  let predicted = mc.estimate.messages in
+  let run backend =
+    let machine =
+      Cf_machine.Machine.create ~comm_mode:`Service
+        (Cf_machine.Topology.linear nprocs)
+        Cf_machine.Cost.transputer
+    in
+    let report =
+      Cf_exec.Parexec.execute_fallback ~backend ~machine
+        ~placement:(Cf_exec.Parexec.cyclic ~nprocs)
+        mc.partition
+    in
+    (report, Cf_machine.Machine.serviced_messages machine)
+  in
+  let rc, serviced_c = run `Compiled in
+  let ri, serviced_i = run `Interpreted in
+  if not (Cf_exec.Parexec.ok rc) then
+    failf "fallback %s: compiled run diverges from sequential" origin
+  else if not (Cf_exec.Parexec.ok ri) then
+    failf "fallback %s: interpreted run diverges from sequential" origin
+  else if serviced_c <> serviced_i then
+    failf "fallback %s: %d serviced message(s) compiled vs %d interpreted"
+      origin serviced_c serviced_i
+  else if serviced_c <> predicted then
+    failf "fallback %s: predicted %d message(s) but simulated %d" origin
+      predicted serviced_c
+  else if mc.comm_free then begin
+    let psi_nd = Strategy.partitioning_space Strategy.Nonduplicate nest in
+    if predicted <> 0 then
+      failf "communication-free nest predicted %d message(s)" predicted
+    else if not (Cf_linalg.Subspace.equal mc.choice.space psi_nd) then
+      Fail "communication-free nest's fallback is not the exact plan"
+    else Pass
+  end
+  else Pass
 
 let fallback_vs_seq nest =
   if not (Nest.all_uniformly_generated nest) then
@@ -447,53 +574,10 @@ let fallback_vs_seq nest =
   else if Cf_exec.Compile.max_rank (Cf_exec.Compile.make nest) > 7 then
     Skip "subscript arity exceeds the packed-coordinate limit"
   else begin
-    let mc = Cf_mincomm.Mincomm.plan ~nprocs nest in
-    let predicted =
-      mc.Cf_mincomm.Mincomm.estimate.Cf_mincomm.Mincomm.messages
-    in
-    let run backend =
-      let machine =
-        Cf_machine.Machine.create ~comm_mode:`Service
-          (Cf_machine.Topology.linear nprocs)
-          Cf_machine.Cost.transputer
-      in
-      let report =
-        Cf_exec.Parexec.execute_fallback ~backend ~machine
-          ~placement:(Cf_exec.Parexec.cyclic ~nprocs)
-          mc.Cf_mincomm.Mincomm.partition
-      in
-      (report, Cf_machine.Machine.serviced_messages machine)
-    in
-    let rc, serviced_c = run `Compiled in
-    let ri, serviced_i = run `Interpreted in
-    if not (Cf_exec.Parexec.ok rc) then
-      failf "fallback %s: compiled run diverges from sequential"
-        mc.Cf_mincomm.Mincomm.choice.Cf_mincomm.Mincomm.origin
-    else if not (Cf_exec.Parexec.ok ri) then
-      failf "fallback %s: interpreted run diverges from sequential"
-        mc.Cf_mincomm.Mincomm.choice.Cf_mincomm.Mincomm.origin
-    else if serviced_c <> serviced_i then
-      failf "fallback %s: %d serviced message(s) compiled vs %d interpreted"
-        mc.Cf_mincomm.Mincomm.choice.Cf_mincomm.Mincomm.origin serviced_c
-        serviced_i
-    else if serviced_c <> predicted then
-      failf "fallback %s: predicted %d message(s) but simulated %d"
-        mc.Cf_mincomm.Mincomm.choice.Cf_mincomm.Mincomm.origin predicted
-        serviced_c
-    else if mc.Cf_mincomm.Mincomm.comm_free then begin
-      let psi_nd =
-        Strategy.partitioning_space Strategy.Nonduplicate nest
-      in
-      if predicted <> 0 then
-        failf "communication-free nest predicted %d message(s)" predicted
-      else if
-        not
-          (Cf_linalg.Subspace.equal
-             mc.Cf_mincomm.Mincomm.choice.Cf_mincomm.Mincomm.space psi_nd)
-      then Fail "communication-free nest's fallback is not the exact plan"
-      else Pass
-    end
-    else Pass
+    let mc = Mincomm.plan ~nprocs nest in
+    match fallback_matches_reference nest mc with
+    | Pass -> fallback_runs_sequential nest mc
+    | v -> v
   end
 
 (* normalize-roundtrip: the normalization front door proves its own
@@ -551,7 +635,8 @@ let all =
       check = cgen_roundtrip };
     { name = "fallback-vs-seq";
       doc =
-        "communication-minimal fallback runs bit-for-bit sequential; \
+        "fallback verdicts, scores and choice match the unshared \
+         Iter_partition reference; runs bit-for-bit sequential; \
          predicted volume = serviced messages";
       check = fallback_vs_seq };
     { name = "normalize-roundtrip";

@@ -45,7 +45,14 @@ val all : t list
     - [cgen-roundtrip]: block-major execution of the transformed
       [forall] nest (the iteration order the C back end emits) matches
       the sequential interpreter, and emission is deterministic;
-    - [fallback-vs-seq]: the communication-minimal fallback tier runs
+    - [fallback-vs-seq]: the communication-minimal fallback tier's
+      plan matches its unshared reference — every theorem verdict equals
+      that strategy's own {!Cf_core.Strategy.partitioning_space} answer
+      (a minimal theorem skipped above
+      {!Cf_dep.Exact.analysis_limit}), every ranked candidate's estimate
+      equals {!Cf_mincomm.Mincomm.estimate_partition} over the
+      materialized {!Cf_core.Iter_partition}, and the choice and its
+      block count follow from those partitions; the plan then runs
       bit-for-bit sequential on both backends and its serviced message
       count equals the planner's prediction;
     - [normalize-roundtrip]: every {!Cf_normalize} witness passes both

@@ -19,29 +19,31 @@ let reference_space ?search_radius nest name =
   Subspace.span n
     (kernel_basis nest name @ List.map Vec.of_int_array admissible)
 
-let reduced_reference_space ?search_radius nest name =
+(* An array without flow dependences is fully duplicable: replication
+   makes every other dependence local, so it constrains nothing. *)
+let reduced_space_of_deps nest name deps =
   let n = Nest.depth nest in
-  match Analysis.duplicability ?search_radius nest name with
-  | Analysis.Fully -> Subspace.zero n
-  | Analysis.Partially ->
-    let flows =
-      List.filter_map
-        (fun (d : Analysis.dep) ->
-          if Kind.equal d.kind Kind.Flow then Some (Vec.of_int_array d.witness)
-          else None)
-        (Analysis.deps_of_array ?search_radius nest name)
-    in
-    Subspace.span n (kernel_basis nest name @ flows)
+  let flows =
+    List.filter_map
+      (fun (d : Analysis.dep) ->
+        if Kind.equal d.kind Kind.Flow then Some (Vec.of_int_array d.witness)
+        else None)
+      deps
+  in
+  if flows = [] then Subspace.zero n
+  else Subspace.span n (kernel_basis nest name @ flows)
 
-let minimal_space_of_vectors exact name kinds =
-  let nest = Exact.nest exact in
-  let n = Nest.depth nest in
-  Subspace.span n
-    (List.map Vec.of_int_array (Exact.useful_vectors ~kinds exact name))
+let reduced_reference_space ?search_radius nest name =
+  reduced_space_of_deps nest name
+    (Analysis.deps_of_array ?search_radius nest name)
+
+let minimal_space_of_deps ?kinds nest name deps =
+  Subspace.span (Nest.depth nest)
+    (List.map Vec.of_int_array (Exact.dep_vectors ?kinds deps name))
 
 let minimal_reference_space exact name =
-  minimal_space_of_vectors exact name
-    [ Kind.Flow; Kind.Anti; Kind.Output; Kind.Input ]
+  minimal_space_of_deps (Exact.nest exact) name (Exact.useful_deps exact)
 
 let minimal_reduced_reference_space exact name =
-  minimal_space_of_vectors exact name [ Kind.Flow ]
+  minimal_space_of_deps ~kinds:[ Kind.Flow ] (Exact.nest exact) name
+    (Exact.useful_deps exact)

@@ -1,7 +1,11 @@
 open Cf_linalg
 open Cf_loop
 
-type t = Nonduplicate | Duplicate | Min_nonduplicate | Min_duplicate
+type t = Facts.strategy =
+  | Nonduplicate
+  | Duplicate
+  | Min_nonduplicate
+  | Min_duplicate
 
 let all = [ Nonduplicate; Duplicate; Min_nonduplicate; Min_duplicate ]
 
@@ -13,44 +17,22 @@ let to_string = function
 
 let pp ppf s = Format.pp_print_string ppf (to_string s)
 
-let uses_exact_analysis = function
-  | Nonduplicate | Duplicate -> false
-  | Min_nonduplicate | Min_duplicate -> true
+let uses_exact_analysis = Facts.uses_exact_analysis
 
 let array_space ?search_radius ?exact strategy nest name =
-  match strategy with
-  | Nonduplicate -> Refspace.reference_space ?search_radius nest name
-  | Duplicate -> Refspace.reduced_reference_space ?search_radius nest name
-  | Min_nonduplicate | Min_duplicate ->
-    let exact =
-      match exact with Some e -> e | None -> Cf_dep.Exact.analyze nest
-    in
-    if strategy = Min_nonduplicate then
-      Refspace.minimal_reference_space exact name
-    else Refspace.minimal_reduced_reference_space exact name
+  Facts.array_space (Facts.make ?search_radius ?exact nest) strategy name
 
 let partitioning_space ?search_radius ?exact strategy nest =
-  let exact =
-    match (exact, uses_exact_analysis strategy) with
-    | (Some _ as e), _ -> e
-    | None, true -> Some (Cf_dep.Exact.analyze nest)
-    | None, false -> None
-  in
-  List.fold_left
-    (fun acc name ->
-      Subspace.join acc (array_space ?search_radius ?exact strategy nest name))
-    (Subspace.zero (Nest.depth nest))
-    (Nest.arrays nest)
+  Facts.partitioning_space (Facts.make ?search_radius ?exact nest) strategy
 
 let selective_space ?search_radius nest ~duplicated =
+  let facts = Facts.make ?search_radius nest in
   List.fold_left
     (fun acc name ->
-      let space =
-        if List.mem name duplicated then
-          Refspace.reduced_reference_space ?search_radius nest name
-        else Refspace.reference_space ?search_radius nest name
+      let strategy =
+        if List.mem name duplicated then Duplicate else Nonduplicate
       in
-      Subspace.join acc space)
+      Subspace.join acc (Facts.array_space facts strategy name))
     (Subspace.zero (Nest.depth nest))
     (Nest.arrays nest)
 

@@ -8,7 +8,7 @@
 
 open Cf_linalg
 
-type t =
+type t = Facts.strategy =
   | Nonduplicate      (** Theorem 1: single copy of every element *)
   | Duplicate         (** Theorem 2: replication allowed, flow deps only *)
   | Min_nonduplicate  (** Theorem 3: after redundancy elimination *)
@@ -27,7 +27,9 @@ val partitioning_space :
 (** [partitioning_space strategy nest] is [Ψ] of the chosen theorem.
     For the minimal strategies an {!Cf_dep.Exact.result} is computed on
     demand when not supplied (the iteration space must then be small
-    enough to enumerate). *)
+    enough to enumerate).  Each call reads a fresh {!Facts.t}; callers
+    that need several spaces of one nest build one {!Facts.t} and read
+    them all from it. *)
 
 val parallelism_degree : Subspace.t -> int
 (** [n − dim Ψ], the number of forall dimensions the transformed loop

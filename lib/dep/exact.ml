@@ -306,14 +306,14 @@ let collect_deps r ~filter_redundant =
 let useful_deps r = collect_deps r ~filter_redundant:true
 let all_deps r = collect_deps r ~filter_redundant:false
 
-let useful_vectors ?(kinds = [ Kind.Flow; Kind.Anti; Kind.Output; Kind.Input ])
-    r array =
+let dep_vectors ?(kinds = [ Kind.Flow; Kind.Anti; Kind.Output; Kind.Input ])
+    deps array =
   List.filter_map
     (fun (d : Analysis.dep) ->
       if String.equal d.array array && List.mem d.kind kinds then
         Some d.witness
       else None)
-    (useful_deps r)
+    deps
   |> List.fold_left
        (fun acc v -> if List.mem v acc then acc else acc @ [ v ])
        []

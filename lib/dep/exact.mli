@@ -66,9 +66,13 @@ val useful_deps : result -> Analysis.dep list
 val all_deps : result -> Analysis.dep list
 (** Same, without the redundancy filter. *)
 
-val useful_vectors : ?kinds:Kind.t list -> result -> string -> int array list
-(** Observed dependence vectors of one array, optionally restricted to
-    the given kinds (default: all four). *)
+val dep_vectors :
+  ?kinds:Kind.t list -> Analysis.dep list -> string -> int array list
+(** The distinct [witness] vectors of one array's dependences in a list,
+    in first-seen order, optionally restricted to the given kinds
+    (default: all four).  Over {!useful_deps} they are the observed
+    useful dependence vectors that span the minimal spaces; callers
+    that need several arrays' vectors collect {!useful_deps} once. *)
 
 type access_event = {
   stmt_index : int;

@@ -32,30 +32,6 @@ let theorem_number = function
   | Strategy.Min_nonduplicate -> 3
   | Strategy.Min_duplicate -> 4
 
-(* The minimal theorems need the enumeration-based analysis, which is
-   only run on spaces small enough to enumerate. *)
-let theorem_verdicts ?search_radius nest =
-  let exact =
-    if Nest.cardinal nest <= Cf_dep.Exact.analysis_limit then
-      try Some (Cf_dep.Exact.analyze nest) with _ -> None
-    else None
-  in
-  List.map
-    (fun strategy ->
-      let parallelism =
-        if Strategy.uses_exact_analysis strategy && Option.is_none exact then
-          None
-        else
-          try
-            Some
-              (Strategy.parallelism_degree
-                 (Strategy.partitioning_space ?search_radius ?exact strategy
-                    nest))
-          with _ -> None
-      in
-      { strategy; parallelism })
-    Strategy.all
-
 (* {2 Candidate subspaces}
 
    Everything of dimension < n the existing machinery suggests.  The
@@ -63,7 +39,8 @@ let theorem_verdicts ?search_radius nest =
    predicted volume, ranking (messages, dim, origin) still has a
    deterministic winner; duplicates keep their first origin. *)
 
-let candidates ?search_radius nest =
+let candidates_of facts =
+  let nest = Facts.nest facts in
   let n = Nest.depth nest in
   let arrays = Nest.arrays nest in
   let acc = ref [] in
@@ -73,14 +50,11 @@ let candidates ?search_radius nest =
       && not (List.exists (fun c -> Subspace.equal c.space space) !acc)
     then acc := { origin; space } :: !acc
   in
-  add "theorem-1"
-    (Strategy.partitioning_space ?search_radius Strategy.Nonduplicate nest);
-  add "theorem-2"
-    (Strategy.partitioning_space ?search_radius Strategy.Duplicate nest);
+  add "theorem-1" (Facts.partitioning_space facts Strategy.Nonduplicate);
+  add "theorem-2" (Facts.partitioning_space facts Strategy.Duplicate);
   let psi =
     List.map
-      (fun a ->
-        (a, Strategy.array_space ?search_radius Strategy.Nonduplicate nest a))
+      (fun a -> (a, Facts.array_space facts Strategy.Nonduplicate a))
       arrays
   in
   List.iter (fun (a, s) -> add (Printf.sprintf "psi[%s]" a) s) psi;
@@ -88,7 +62,7 @@ let candidates ?search_radius nest =
     (fun a ->
       add
         (Printf.sprintf "psi_r[%s]" a)
-        (Strategy.array_space ?search_radius Strategy.Duplicate nest a))
+        (Facts.array_space facts Strategy.Duplicate a))
     arrays;
   (* Leave-one-out joins: serve all arrays but one locally and let the
      dropped array's accesses pay the messages. *)
@@ -111,7 +85,7 @@ let candidates ?search_radius nest =
          match d.kind with
          | Cf_dep.Kind.Flow -> Some (Vec.of_int_array d.witness)
          | _ -> None)
-       (Cf_dep.Analysis.deps ?search_radius nest)
+       (List.concat_map (Facts.deps facts) arrays)
    in
    if flows <> [] then add "flow-span" (Subspace.span n flows));
   let unit k = Vec.of_int_array (Array.init n (fun i -> if i = k then 1 else 0)) in
@@ -130,6 +104,9 @@ let candidates ?search_radius nest =
   add "free" (Subspace.zero n);
   List.rev !acc
 
+let candidates ?search_radius nest =
+  candidates_of (Facts.make ?search_radius nest)
+
 (* {2 First-touch volume estimator}
 
    One pass over the iteration space in execution order.  An element's
@@ -140,20 +117,18 @@ let candidates ?search_radius nest =
    followed by [Parexec.execute_fallback]'s servicing rule, which is why
    predicted counts equal simulated ones. *)
 
-let estimate_partition ~placement partition =
-  let nest = Iter_partition.nest partition in
-  let prog = Compile.make nest in
+let first_touch prog ~placement ~block_count ~block_of nest =
   let sites = Compile.sites prog in
   let homes =
     Array.map
       (fun _ -> (Hashtbl.create 64 : (int, int) Hashtbl.t))
       (Compile.arrays prog)
   in
-  let per_block = Array.make (Iter_partition.block_count partition) 0 in
+  let per_block = Array.make block_count 0 in
   let rr = ref 0 and rw = ref 0 in
   let scratch = Compile.scratch sites in
   Nest.iter_space nest (fun iter ->
-      let block = Iter_partition.block_id_of_iteration partition iter in
+      let block = block_of iter in
       let pe = placement block in
       Array.iteri
         (fun si ->
@@ -173,32 +148,53 @@ let estimate_partition ~placement partition =
         sites);
   { messages = !rr + !rw; remote_reads = !rr; remote_writes = !rw; per_block }
 
-let estimate ~nprocs nest space =
-  estimate_partition
-    ~placement:(Parexec.cyclic ~nprocs)
-    (Iter_partition.make nest space)
+let estimate_partition ~placement partition =
+  let nest = Iter_partition.nest partition in
+  first_touch (Compile.make nest) ~placement
+    ~block_count:(Iter_partition.block_count partition)
+    ~block_of:(Iter_partition.block_id_of_iteration partition)
+    nest
 
-let plan ?search_radius ?(nprocs = 4) nest =
+(* The production scorer: the same pass over the closed-form index,
+   whose block ids are [Iter_partition]'s (the coset-parity oracle). *)
+let estimate_coset prog ~placement coset =
+  first_touch prog ~placement
+    ~block_count:(Coset.block_count coset)
+    ~block_of:(Coset.block_id_of_iteration coset)
+    (Coset.nest coset)
+
+let estimate ~nprocs nest space =
+  estimate_coset (Compile.make nest)
+    ~placement:(Parexec.cyclic ~nprocs)
+    (Coset.make nest space)
+
+let plan_of_facts ?(nprocs = 4) facts =
+  let nest = Facts.nest facts in
   if nprocs < 1 then invalid_arg "Mincomm.plan: nprocs must be positive";
   if Nest.cardinal nest = 0 then
     invalid_arg "Mincomm.plan: empty iteration space";
   if not (Nest.all_uniformly_generated nest) then
     invalid_arg "Mincomm.plan: arrays must be uniformly generated";
-  let theorems = theorem_verdicts ?search_radius nest in
-  let psi_nd =
-    Strategy.partitioning_space ?search_radius Strategy.Nonduplicate nest
+  let theorems =
+    List.map
+      (fun strategy -> { strategy; parallelism = Facts.verdict facts strategy })
+      Strategy.all
   in
+  let psi_nd = Facts.partitioning_space facts Strategy.Nonduplicate in
   let comm_free = Strategy.parallelism_degree psi_nd > 0 in
   let cands =
     if comm_free then [ { origin = "theorem-1"; space = psi_nd } ]
-    else candidates ?search_radius nest
+    else candidates_of facts
   in
+  (* Each candidate is scored on its closed-form index, which is dropped
+     once scored; only the chosen one is materialized below. *)
+  let prog = Compile.make nest in
   let placement = Parexec.cyclic ~nprocs in
-  let evaluated =
+  let scored =
     List.map
       (fun c ->
-        let partition = Iter_partition.make nest c.space in
-        (c, partition, estimate_partition ~placement partition))
+        let coset = Coset.make nest c.space in
+        (c, Coset.block_count coset, estimate_coset prog ~placement coset))
       cands
   in
   let sorted =
@@ -209,17 +205,13 @@ let plan ?search_radius ?(nprocs = 4) nest =
         else
           let k = compare (Subspace.dim c1.space) (Subspace.dim c2.space) in
           if k <> 0 then k else compare c1.origin c2.origin)
-      evaluated
+      scored
   in
   (* A single-block "plan" is sequential execution renamed; prefer any
      candidate that actually spreads work, even at a higher predicted
      volume. *)
-  let choice, partition, estimate =
-    match
-      List.find_opt
-        (fun (_, p, _) -> Iter_partition.block_count p >= 2)
-        sorted
-    with
+  let choice, _, estimate =
+    match List.find_opt (fun (_, blocks, _) -> blocks >= 2) sorted with
     | Some best -> best
     | None -> List.hd sorted
   in
@@ -229,10 +221,13 @@ let plan ?search_radius ?(nprocs = 4) nest =
     theorems;
     comm_free;
     choice;
-    partition;
+    partition = Iter_partition.make nest choice.space;
     estimate;
     ranked = List.map (fun (c, _, e) -> (c, e)) sorted;
   }
+
+let plan ?search_radius ?nprocs nest =
+  plan_of_facts ?nprocs (Facts.make ?search_radius nest)
 
 let servable t = Iter_partition.block_count t.partition >= 2
 

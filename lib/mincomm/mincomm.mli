@@ -19,7 +19,16 @@
     for any plan [predicted messages = simulated serviced messages]
     when executed on a machine of the same size.  In particular a
     communication-free nest always yields a zero-volume plan over its
-    exact [Ψ] — the fallback tier degrades to the theorem answer. *)
+    exact [Ψ] — the fallback tier degrades to the theorem answer.
+
+    Planning reads every space from one {!Cf_core.Facts.t}: the theorem
+    verdicts, the theorem spaces and the per-array candidates share its
+    dependences, [Ψ_A], [Ψ^r_A] and exact analysis, and
+    {!Cf_pipeline.Pipeline.plan_serve} hands over the value it planned
+    with.  Candidates are scored on their closed-form
+    {!Cf_core.Coset} index, whose block ids are {!Cf_core.Iter_partition}'s,
+    with the nest compiled once per plan; only the chosen candidate is
+    materialized as an {!Cf_core.Iter_partition.t}. *)
 
 open Cf_core
 open Cf_linalg
@@ -81,25 +90,33 @@ val estimate_partition :
     id to PE), by one pass over the iteration space in execution order
     applying the first-touch home rule.  Exact for
     {!Cf_exec.Parexec.execute_fallback} on a [`Service]-mode machine
-    with the same placement. *)
+    with the same placement.  The reference scorer: {!plan} runs the
+    same pass over each candidate's {!Coset} index instead, and the
+    [fallback-vs-seq] oracle checks the two agree. *)
 
 val estimate : nprocs:int -> Cf_loop.Nest.t -> Subspace.t -> estimate
-(** [estimate_partition] of [P_Ψ] under the cyclic placement on
-    [nprocs] PEs.  Raises [Invalid_argument] when the subspace's
-    ambient dimension differs from the nest depth. *)
+(** The predicted volume of [P_Ψ] under the cyclic placement on
+    [nprocs] PEs, scored on [P_Ψ]'s {!Coset} index as {!plan} scores
+    candidates; equal to [estimate_partition] of the materialized
+    partition.  Raises [Invalid_argument] when the subspace's ambient
+    dimension differs from the nest depth. *)
 
 val plan : ?search_radius:int -> ?nprocs:int -> Cf_loop.Nest.t -> t
-(** The fallback plan ([nprocs] defaults to 4).  Runs every theorem
-    (skipping exact analysis on spaces larger than the pipeline's
-    enumeration limit); when Theorem 1 grants parallelism the exact
-    [Ψ] is the single candidate (zero volume by construction),
-    otherwise all {!candidates} are evaluated and ranked.  The choice
-    is the best-ranked candidate that yields at least two blocks when
-    one exists — a single-block "plan" is just sequential execution
-    renamed — and the overall best otherwise.  Requires a non-empty
-    iteration space and every array uniformly generated (the theorem
-    machinery's own precondition); raises [Invalid_argument]
-    otherwise. *)
+(** The fallback plan ([nprocs] defaults to 4): {!plan_of_facts} over a
+    fresh {!Facts.t} of the nest. *)
+
+val plan_of_facts : ?nprocs:int -> Facts.t -> t
+(** The fallback plan of the analysis value's nest.  Every theorem's
+    verdict is {!Facts.verdict} (a minimal theorem is skipped on spaces
+    larger than {!Cf_dep.Exact.analysis_limit}); when Theorem 1 grants
+    parallelism the exact [Ψ] is the single candidate (zero volume by
+    construction), otherwise all {!candidates} of the value's spaces
+    are evaluated and ranked.  The choice is the best-ranked candidate
+    that yields at least two blocks when one exists — a single-block
+    "plan" is just sequential execution renamed — and the overall best
+    otherwise.  Requires a non-empty iteration space and every array
+    uniformly generated (the theorem machinery's own precondition);
+    raises [Invalid_argument] otherwise. *)
 
 val servable : t -> bool
 (** The chosen partition has at least two blocks: executing it spreads

@@ -13,34 +13,45 @@ type t = {
   parloop : Cf_transform.Parloop.t;
 }
 
-let plan ?(obs = Cf_obs.Trace.null) ?(strategy = Strategy.Nonduplicate) ?basis
-    ?search_radius nest =
-  (* Planning phases report as wall-clock spans on the planner lane of
-     [obs] (the trace's injected clock — this module never reads the
-     real time itself). *)
-  let phase name f =
-    Cf_obs.Trace.span obs ~cat:"plan" name f
-  in
+(* Planning phases report as wall-clock spans on the planner lane of
+   [obs] (the trace's injected clock — this module never reads the real
+   time itself). *)
+let phase obs name f = Cf_obs.Trace.span obs ~cat:"plan" name f
+
+(* The strategy's exact analysis and Ψ, both read from [facts]. *)
+let analyse ~obs ~strategy facts =
   let exact =
     if Strategy.uses_exact_analysis strategy then
-      Some (phase "exact-analysis" (fun () -> Cf_dep.Exact.analyze nest))
+      Some (phase obs "exact-analysis" (fun () -> Facts.exact_result facts))
     else None
   in
   let space =
-    phase "partitioning-space" (fun () ->
-        Strategy.partitioning_space ?search_radius ?exact strategy nest)
+    phase obs "partitioning-space" (fun () ->
+        Facts.partitioning_space facts strategy)
   in
   Log.debug (fun m ->
       m "strategy %a: psi = %a" Strategy.pp strategy Cf_linalg.Subspace.pp
         space);
-  let partition =
-    phase "iter-partition" (fun () -> Iter_partition.make nest space)
-  in
+  (exact, space)
+
+(* The plan around a chosen Ψ and its partition: the [forall] nest. *)
+let assemble ~obs ?basis ~strategy ~exact nest space partition =
   let parloop =
-    phase "transform" (fun () ->
+    phase obs "transform" (fun () ->
         Cf_transform.Transformer.transform ?basis nest space)
   in
   { nest; strategy; exact; space; partition; parloop }
+
+let partition_of ~obs nest space =
+  phase obs "iter-partition" (fun () -> Iter_partition.make nest space)
+
+let plan ?(obs = Cf_obs.Trace.null) ?(strategy = Strategy.Nonduplicate) ?basis
+    ?search_radius nest =
+  let exact, space =
+    analyse ~obs ~strategy (Facts.make ?search_radius nest)
+  in
+  let partition = partition_of ~obs nest space in
+  assemble ~obs ?basis ~strategy ~exact nest space partition
 
 let relabel t nest =
   {
@@ -91,14 +102,21 @@ let simulate ?backend ?(procs = 4) ?(cost = Cf_machine.Cost.transputer)
 
 type planned = Exact of t | Fallback of t * Cf_mincomm.Mincomm.t
 
-let plan_serve ?(obs = Cf_obs.Trace.null) ?strategy ?basis ?search_radius
-    ?(nprocs = 4) nest =
-  let t = plan ~obs ?strategy ?basis ?search_radius nest in
-  if parallelism t > 0 then Exact t
+let plan_serve ?(obs = Cf_obs.Trace.null) ?(strategy = Strategy.Nonduplicate)
+    ?basis ?search_radius ?(nprocs = 4) nest =
+  let facts = Facts.make ?search_radius nest in
+  let exact, space = analyse ~obs ~strategy facts in
+  if Strategy.parallelism_degree space > 0 then begin
+    let partition = partition_of ~obs nest space in
+    Exact (assemble ~obs ?basis ~strategy ~exact nest space partition)
+  end
   else begin
+    (* The rejected Ψ is never partitioned or transformed: the fallback
+       tier plans from the same analysis value, and its choice is the
+       plan. *)
     let mc =
-      Cf_obs.Trace.span obs ~cat:"plan" "fallback-plan" (fun () ->
-          Cf_mincomm.Mincomm.plan ?search_radius ~nprocs nest)
+      phase obs "fallback-plan" (fun () ->
+          Cf_mincomm.Mincomm.plan_of_facts ~nprocs facts)
     in
     let space = mc.Cf_mincomm.Mincomm.choice.Cf_mincomm.Mincomm.space in
     Log.debug (fun m ->
@@ -106,12 +124,9 @@ let plan_serve ?(obs = Cf_obs.Trace.null) ?strategy ?basis ?search_radius
           mc.Cf_mincomm.Mincomm.choice.Cf_mincomm.Mincomm.origin
           Cf_linalg.Subspace.pp space
           mc.Cf_mincomm.Mincomm.estimate.Cf_mincomm.Mincomm.messages);
-    let parloop =
-      Cf_obs.Trace.span obs ~cat:"plan" "transform" (fun () ->
-          Cf_transform.Transformer.transform ?basis nest space)
-    in
     Fallback
-      ( { t with space; partition = mc.Cf_mincomm.Mincomm.partition; parloop },
+      ( assemble ~obs ?basis ~strategy ~exact nest space
+          mc.Cf_mincomm.Mincomm.partition,
         mc )
   end
 
@@ -180,12 +195,11 @@ let simulate_serve ?backend ?procs ?(cost = Cf_machine.Cost.transputer)
 
 let describe ppf t =
   Format.fprintf ppf "@[<v>strategy: %a@," Strategy.pp t.strategy;
+  let facts = Facts.make ?exact:t.exact t.nest in
   List.iter
     (fun a ->
-      let s =
-        Strategy.array_space ?exact:t.exact t.strategy t.nest a
-      in
-      Format.fprintf ppf "  Psi_%s = %a@," a Cf_linalg.Subspace.pp s)
+      Format.fprintf ppf "  Psi_%s = %a@," a Cf_linalg.Subspace.pp
+        (Facts.array_space facts t.strategy a))
     (Cf_loop.Nest.arrays t.nest);
   Format.fprintf ppf "partitioning space: %a (dim %d, parallelism %d)@,"
     Cf_linalg.Subspace.pp t.space

@@ -27,8 +27,9 @@ val plan :
   Cf_loop.Nest.t ->
   t
 (** [plan nest] runs the full compile-time side under [strategy]
-    (default {!Strategy.Nonduplicate}).  [basis] overrides the
-    [Ker(Ψ)] basis used for new loop variables (see
+    (default {!Strategy.Nonduplicate}).  The exact analysis and [Ψ] are
+    read from one {!Cf_core.Facts.t} built for the call.  [basis]
+    overrides the [Ker(Ψ)] basis used for new loop variables (see
     {!Cf_transform.Transformer.transform}).  [obs] (default
     {!Cf_obs.Trace.null}) receives one span per planning phase —
     exact analysis, partitioning-space search, iteration partition,
@@ -98,9 +99,14 @@ val plan_serve :
   ?nprocs:int ->
   Cf_loop.Nest.t ->
   planned
-(** [plan] first; on parallelism 0, one extra [fallback-plan] obs span
-    covers the candidate search and volume estimation ([nprocs],
-    default 4, sizes the placement the volumes are predicted for). *)
+(** [plan], except on parallelism 0: the rejected [Ψ] is neither
+    partitioned nor transformed, and the analysis value [plan] read its
+    spaces from goes to {!Cf_mincomm.Mincomm.plan_of_facts}, so the
+    nest is analysed once per call.  One [fallback-plan] obs span covers
+    the theorem verdicts, candidate search and volume estimation
+    ([nprocs], default 4, sizes the placement the volumes are predicted
+    for), and [basis] applies to the fallback's transform.  The value is
+    dropped when the call returns; the plan does not hold it. *)
 
 val plan_normalized :
   ?obs:Cf_obs.Trace.t ->

@@ -288,7 +288,7 @@ let append_journal t ~digest ~strategy ~search_radius ~src =
     Journal.append j (entry_to_json ~digest ~strategy ~search_radius ~src);
     Metrics.incr t.meters.m_journal_appends
 
-let plan_response t ~serve ~digest (c : Service.completion) =
+let plan_response t ~serve ~digest ~search_radius (c : Service.completion) =
   if c.cache_hit then Metrics.incr t.meters.m_cache_hits;
   Metrics.incr t.meters.m_planned;
   let plan = c.plan in
@@ -305,11 +305,13 @@ let plan_response t ~serve ~digest (c : Service.completion) =
   in
   if serve && parallelism = 0 then begin
     (* Theorem-rejected nest on the serving path: degrade to the
-       communication-minimal tier instead of a zero-parallelism plan.
+       communication-minimal tier instead of a zero-parallelism plan,
+       under the search radius the exact tier was planned with.
        Fallback plans are recomputed per request and never journaled —
        they are not part of the exact-plan cache. *)
     let mc =
-      Cf_mincomm.Mincomm.plan ~nprocs:t.config.nprocs plan.nest
+      Cf_mincomm.Mincomm.plan ?search_radius ~nprocs:t.config.nprocs
+        plan.nest
     in
     Metrics.incr t.meters.m_fallback;
     Protocol.ok
@@ -359,7 +361,7 @@ let handle_plan t ~tenant ~serve ~src ~strategy ~search_radius ~timeout =
               append_journal t ~digest:canon.digest ~strategy ~search_radius
                 ~src:
                   (Format.asprintf "@[<v>%a@]" Cf_loop.Nest.pp canon.nest);
-            plan_response t ~serve ~digest:canon.digest c
+            plan_response t ~serve ~digest:canon.digest ~search_radius c
           | Service.Failed msg ->
             Protocol.error_response ~detail:msg Protocol.Plan_failed
           | Service.Rejected ->
@@ -562,11 +564,20 @@ let accept_loop t lfd =
   in
   go ()
 
+(* Compaction keeps the latest record per key, so once the distinct
+   keys alone fill [journal_max_bytes] it can no longer shrink the file
+   below the threshold.  The next compaction therefore also waits until
+   the journal has doubled since the last one; otherwise it would
+   rewrite the whole file on every tick. *)
 let compactor_loop t j =
+  let compacted = ref 0 in
   let rec go () =
     if not t.stopping then begin
-      if Journal.size j > t.config.journal_max_bytes then
+      if Journal.size j > max t.config.journal_max_bytes (2 * !compacted)
+      then begin
         (try Journal.compact j ~key:entry_key with Sys_error _ -> ());
+        compacted := Journal.size j
+      end;
       Thread.delay 0.05;
       go ()
     end

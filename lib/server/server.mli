@@ -19,7 +19,8 @@
     [kill -9]: fully committed records become cache hits, torn tails are
     truncated and counted, and boot never fails on a corrupt tail.  A
     background thread compacts the journal (latest record per key) once
-    it grows past [journal_max_bytes].
+    it grows past [journal_max_bytes] and past twice its size after the
+    previous compaction.
 
     Admission: every [plan] request passes the per-tenant
     {!Admission} gate before touching the service queue — token-bucket

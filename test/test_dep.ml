@@ -172,10 +172,12 @@ let exact_cases =
           (Exact.is_redundant r ~stmt_index:0 [| 2; 4 |]));
     Alcotest.test_case "L3 useful dependence vectors" `Quick (fun () ->
         let r = Exact.analyze l3 in
-        let all = Exact.useful_vectors r "A" in
+        let all = Exact.dep_vectors (Exact.useful_deps r) "A" in
         check_bool "flow (1,0)" true (List.mem [| 1; 0 |] all);
         check_bool "anti (1,-1)" true (List.mem [| 1; -1 |] all);
-        let flows = Exact.useful_vectors ~kinds:[ Kind.Flow ] r "A" in
+        let flows =
+          Exact.dep_vectors ~kinds:[ Kind.Flow ] (Exact.useful_deps r) "A"
+        in
         Alcotest.check
           Alcotest.(list (array int))
           "flow only" [ [| 1; 0 |] ] flows);

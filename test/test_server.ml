@@ -540,6 +540,15 @@ let str_field name reply =
    must degrade to the fallback tier. *)
 let chain_src = "for i = 1 to 4\n  A[i] := A[i - 1] + 1;\nend"
 
+let l5_src =
+  {|for i = 1 to 8
+  for j = 1 to 8
+    for k = 1 to 8
+      C[i, j] := C[i, j] + A[i, k] * B[k, j];
+    end
+  end
+end|}
+
 let with_server ?(config = Server.default_config) name f =
   let sock = tmp_path (name ^ ".sock") in
   let server =
@@ -606,6 +615,39 @@ let e2e_cases =
                      zero parallelism. *)
                   let plain = ok_or_fail "plan chain" (Client.plan c chain_src) in
                   check_string "exact tier" "exact" (str_field "tier" plain))));
+    Alcotest.test_case "plan_serve falls back under the request's radius"
+      `Quick (fun () ->
+        (* examples/loops/l5.loop: under radius 0 the fallback tier picks
+           psi[C], under the default radius theorem-2 (same volume). *)
+        let nest = Cf_loop.Parse.nest l5_src in
+        let expected =
+          match Cf_pipeline.Pipeline.plan_serve ~search_radius:0 nest with
+          | Cf_pipeline.Pipeline.Fallback (_, mc) -> mc
+          | Cf_pipeline.Pipeline.Exact _ ->
+            Alcotest.fail "Theorem 1 must reject L5"
+        in
+        check_string "in-process origin" "psi[C]"
+          expected.Cf_mincomm.Mincomm.choice.Cf_mincomm.Mincomm.origin;
+        with_server "radius" (fun sock _server ->
+            match Client.connect_unix sock with
+            | Error msg -> Alcotest.fail msg
+            | Ok c ->
+              Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
+                  let reply =
+                    ok_or_fail "plan_serve l5 radius 0"
+                      (Client.plan ~serve:true ~search_radius:0 c l5_src)
+                  in
+                  check_string "fallback tier" "fallback"
+                    (str_field "tier" reply);
+                  check_string "origin matches plan_serve"
+                    expected.Cf_mincomm.Mincomm.choice.Cf_mincomm.Mincomm.origin
+                    (str_field "origin" reply);
+                  check_bool "volume matches plan_serve" true
+                    (field "predicted_messages" reply
+                    = Json.Num
+                        (float_of_int
+                           expected.Cf_mincomm.Mincomm.estimate
+                             .Cf_mincomm.Mincomm.messages)))));
     Alcotest.test_case "protocol errors surface with codes" `Quick (fun () ->
         with_server "errors" (fun sock _server ->
             (* Raw socket: skip the client's automatic handshake. *)
@@ -707,6 +749,47 @@ let e2e_cases =
                         true
                         (bool_field "cache_hit" reply))
                     all_paper_loops)));
+    Alcotest.test_case "a journal of distinct keys is not recompacted"
+      `Quick (fun () ->
+        (* Every record has its own key, so compaction cannot bring the
+           journal back under the threshold; it must wait for the file
+           to double instead of rewriting it on every compactor tick. *)
+        let journal = tmp_path "distinct.jrnl" in
+        if Sys.file_exists journal then Sys.remove journal;
+        let config =
+          {
+            Server.default_config with
+            Server.journal = Some journal;
+            journal_max_bytes = 512;
+          }
+        in
+        with_server ~config "distinct" (fun sock _server ->
+            match Client.connect_unix sock with
+            | Error msg -> Alcotest.fail msg
+            | Ok c ->
+              Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
+                  for m = 1 to 12 do
+                    let src =
+                      Printf.sprintf
+                        "for i = 1 to %d\n  A[i] := A[i - 1] + 1;\nend" m
+                    in
+                    ignore (ok_or_fail "plan" (Client.plan c src))
+                  done;
+                  (* Ten compactor ticks with nothing appended. *)
+                  Unix.sleepf 0.5;
+                  let journal =
+                    field "journal" (ok_or_fail "stats" (Client.stats c))
+                  in
+                  let num name =
+                    match Json.member name journal with
+                    | Some (Json.Num x) -> int_of_float x
+                    | _ -> Alcotest.failf "journal stats lack %S" name
+                  in
+                  check_bool "over the threshold" true (num "size_bytes" > 512);
+                  check_bool
+                    (Printf.sprintf "%d compaction(s)" (num "compactions"))
+                    true
+                    (num "compactions" <= 3))));
     Alcotest.test_case "truncated journal tail boots and serves the rest"
       `Quick (fun () ->
         let journal = tmp_path "torn-boot.jrnl" in
