@@ -228,661 +228,6 @@ let print_distribution () =
       Cf_workloads.Workloads.stencil_2d; Cf_workloads.Workloads.rank1_update;
       Cf_workloads.Workloads.shifted_sum ]
 
-(* E14: the scale-out execution engine.  Each row times the complete
-   simulation — partition construction plus communication-free
-   execution (validation off: both executors then measure pure
-   simulated execution throughput) — under three configurations: the
-   materialized Iter_partition reference executor of cf_check
-   (baseline), the engine over the closed-form Coset index on one
-   domain, and the same fanned out over all domains.  Large
-   instances skip the baseline (materializing 128³-class partitions is
-   exactly what the indexed engine exists to avoid). *)
-
-type scale_row = {
-  workload : string;
-  psi_label : string;
-  size : int;
-  iterations : int;
-  blocks : int;
-  max_block : int;
-  procs : int;
-  domains_used : int;
-  baseline_s : float option;
-  indexed_seq_s : float;
-  indexed_par_s : float;
-  makespan_s : float;
-}
-
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-(* Best of two runs: single-core wall-clock here is noisy (GC, host
-   jitter), and the minimum is the standard robust estimator. *)
-let time2 f =
-  let r, t1 = time f in
-  let _, t2 = time f in
-  (r, Float.min t1 t2)
-
-(* The command line: mode flags plus --json-dir DIR, which routes every
-   BENCH_*.json artifact into DIR (created if missing).  Default is the
-   working directory — where the committed baselines live — so CI can
-   write fresh results elsewhere and diff them against the checked-in
-   files.  Anything else, or --json-dir without a value, prints the
-   usage and exits 2 rather than silently running the whole suite. *)
-let mode_flags =
-  [ "--quick"; "--scale"; "--service"; "--faults"; "--obs"; "--check";
-    "--mincomm"; "--normalize"; "--server"; "--probe" ]
-
-let flags, json_dir =
-  let usage () =
-    Printf.eprintf "usage: %s [%s] [--json-dir DIR]\n"
-      (Filename.basename Sys.argv.(0))
-      (String.concat "] [" mode_flags);
-    exit 2
-  in
-  let rec parse flags dir = function
-    | [] -> (flags, dir)
-    | "--json-dir" :: d :: rest when not (String.starts_with ~prefix:"-" d) ->
-      parse flags (Some d) rest
-    | f :: rest when List.mem f mode_flags -> parse (f :: flags) dir rest
-    | _ -> usage ()
-  in
-  parse [] None (List.tl (Array.to_list Sys.argv))
-
-let flag f = List.mem f flags
-
-let json_file name =
-  match json_dir with
-  | None -> name
-  | Some dir ->
-    if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-    Filename.concat dir name
-
-let scale_procs = 16
-
-let scale_machine () =
-  Cf_machine.Machine.create
-    (Cf_machine.Topology.mesh [| 4; 4 |])
-    Cf_machine.Cost.transputer
-
-let scale_case ~with_baseline ~workload ~psi_label ~size nest psi =
-  let placement = Cf_exec.Parexec.cyclic ~nprocs:scale_procs in
-  let strategy = Strategy.Duplicate in
-  let baseline_s =
-    if not with_baseline then None
-    else
-      let (), s =
-        time2 (fun () ->
-            let machine = scale_machine () in
-            let partition = Iter_partition.make nest psi in
-            ignore
-              (Cf_check.Refexec.execute ~validate:false ~machine ~placement
-                 ~strategy partition))
-      in
-      Some s
-  in
-  let coset, indexed_seq_s =
-    time2 (fun () ->
-        let machine = scale_machine () in
-        let coset = Coset.make nest psi in
-        ignore
-          (Cf_exec.Parexec.execute_indexed ~validate:false ~domains:1 ~machine
-             ~placement ~strategy coset);
-        coset)
-  in
-  let domains_used =
-    max 1 (min (Domain.recommended_domain_count ()) scale_procs)
-  in
-  let machine, indexed_par_s =
-    time2 (fun () ->
-        let machine = scale_machine () in
-        ignore
-          (Cf_exec.Parexec.execute_indexed ~validate:false
-             ~domains:domains_used ~machine ~placement ~strategy coset);
-        machine)
-  in
-  let max_block =
-    List.fold_left
-      (fun acc (b : Coset.block) -> max acc b.Coset.size)
-      0 (Coset.blocks coset)
-  in
-  {
-    workload;
-    psi_label;
-    size;
-    iterations = Cf_loop.Nest.cardinal nest;
-    blocks = Coset.block_count coset;
-    max_block;
-    procs = scale_procs;
-    domains_used;
-    baseline_s;
-    indexed_seq_s;
-    indexed_par_s;
-    makespan_s = Cf_machine.Machine.makespan machine;
-  }
-
-let scale_rows ~quick () =
-  let kernel name =
-    List.find
-      (fun k -> k.Cf_workloads.Workloads.name = name)
-      Cf_workloads.Workloads.all
-  in
-  let matmul = kernel "matmul" and stencil = kernel "stencil3d" in
-  let diag3 =
-    Cf_linalg.Subspace.span 3 [ Cf_linalg.Vec.of_int_list [ 1; 1; 1 ] ]
-  in
-  let dup nest = Strategy.partitioning_space Strategy.Duplicate nest in
-  let case ~with_baseline ~workload ~psi_label ~size build psi_of =
-    let nest = build ~size in
-    scale_case ~with_baseline ~workload ~psi_label ~size nest (psi_of nest)
-  in
-  if quick then
-    [
-      case ~with_baseline:true ~workload:"matmul" ~psi_label:"dup" ~size:16
-        matmul.Cf_workloads.Workloads.build dup;
-      case ~with_baseline:true ~workload:"stencil3d" ~psi_label:"span(1,1,1)"
-        ~size:12 stencil.Cf_workloads.Workloads.build (fun _ -> diag3);
-    ]
-  else
-    [
-      case ~with_baseline:true ~workload:"matmul" ~psi_label:"dup" ~size:64
-        matmul.Cf_workloads.Workloads.build dup;
-      case ~with_baseline:true ~workload:"stencil3d" ~psi_label:"span(1,1,1)"
-        ~size:64 stencil.Cf_workloads.Workloads.build (fun _ -> diag3);
-      case ~with_baseline:false ~workload:"matmul" ~psi_label:"dup" ~size:128
-        matmul.Cf_workloads.Workloads.build dup;
-      case ~with_baseline:false ~workload:"stencil3d"
-        ~psi_label:"span(1,1,1)" ~size:128
-        stencil.Cf_workloads.Workloads.build (fun _ -> diag3);
-    ]
-
-let speedup_vs_baseline r =
-  Option.map (fun b -> b /. r.indexed_seq_s) r.baseline_s
-
-let iterations_per_sec r = float_of_int r.iterations /. r.indexed_par_s
-
-let print_scale_rows rows =
-  section "E14 - scale-out engine: closed-form index + domain parallelism";
-  Printf.printf "%-10s %-12s %5s %9s %8s %6s %3s %12s %12s %12s %9s %12s\n"
-    "workload" "psi" "size" "iters" "blocks" "procs" "dom" "baseline(s)"
-    "indexed1(s)" "indexedN(s)" "speedup" "iters/s";
-  List.iter
-    (fun r ->
-      Printf.printf "%-10s %-12s %5d %9d %8d %6d %3d %12s %12.4f %12.4f %9s %12.0f\n"
-        r.workload r.psi_label r.size r.iterations r.blocks r.procs
-        r.domains_used
-        (match r.baseline_s with
-        | Some s -> Printf.sprintf "%.4f" s
-        | None -> "-")
-        r.indexed_seq_s r.indexed_par_s
-        (match speedup_vs_baseline r with
-        | Some s -> Printf.sprintf "%.1fx" s
-        | None -> "-")
-        (iterations_per_sec r))
-    rows;
-  (* One validated cross-check: identical reports from the reference
-     executor and the engine. *)
-  let nest = Cf_exec.Matmul.nest ~m:12 in
-  let psi = Strategy.partitioning_space Strategy.Duplicate nest in
-  let placement = Cf_exec.Parexec.cyclic ~nprocs:scale_procs in
-  let mb = scale_machine () and mi = scale_machine () in
-  let base =
-    Cf_check.Refexec.execute ~machine:mb ~placement
-      ~strategy:Strategy.Duplicate
-      (Iter_partition.make nest psi)
-  in
-  let indexed =
-    Cf_exec.Parexec.execute_indexed ~machine:mi ~placement
-      ~strategy:Strategy.Duplicate (Coset.make nest psi)
-  in
-  Printf.printf
-    "cross-check (matmul m=12, validated): ok=%b reports-identical=%b\n"
-    (Cf_exec.Parexec.ok base && Cf_exec.Parexec.ok indexed)
-    (base.Cf_exec.Parexec.remote_access = indexed.Cf_exec.Parexec.remote_access
-    && base.Cf_exec.Parexec.mismatches = indexed.Cf_exec.Parexec.mismatches
-    && base.Cf_exec.Parexec.per_pe_iterations
-       = indexed.Cf_exec.Parexec.per_pe_iterations
-    && Cf_machine.Machine.max_compute_time mb
-       = Cf_machine.Machine.max_compute_time mi)
-
-let json_escape s =
-  String.concat ""
-    (List.map
-       (function '"' -> "\\\"" | '\\' -> "\\\\" | ch -> String.make 1 ch)
-       (List.init (String.length s) (String.get s)))
-
-let write_scale_json ~file ?(extra = "") rows =
-  let oc = open_out file in
-  let row_json r =
-    Printf.sprintf
-      "    {\"workload\": \"%s\", \"psi\": \"%s\", \"size\": %d, \
-       \"iterations\": %d, \"blocks\": %d, \"max_block\": %d, \"procs\": %d, \
-       \"domains\": %d, \"baseline_s\": %s, \"indexed_seq_s\": %.6f, \
-       \"indexed_par_s\": %.6f, \"speedup_vs_baseline\": %s, \
-       \"parallel_speedup\": %.3f, \"iterations_per_sec\": %.0f, \
-       \"makespan_s\": %.6f}"
-      (json_escape r.workload) (json_escape r.psi_label) r.size r.iterations
-      r.blocks r.max_block r.procs r.domains_used
-      (match r.baseline_s with
-      | Some s -> Printf.sprintf "%.6f" s
-      | None -> "null")
-      r.indexed_seq_s r.indexed_par_s
-      (match speedup_vs_baseline r with
-      | Some s -> Printf.sprintf "%.3f" s
-      | None -> "null")
-      (r.indexed_seq_s /. r.indexed_par_s)
-      (iterations_per_sec r) r.makespan_s
-  in
-  Printf.fprintf oc "{\n  \"bench\": \"parexec-scale\",\n  \"rows\": [\n%s\n  ]%s\n}\n"
-    (String.concat ",\n" (List.map row_json rows))
-    extra;
-  close_out oc;
-  Printf.printf "wrote %s\n%!" file
-
-(* E19: compiled vs interpreted statement kernels, execution only.
-   Data is pre-placed under plain array names once — the same surface
-   the allocator would build, minus the per-block copy suffix — and
-   each backend then re-runs only the block loop ([~allocate:false
-   ~validate:false], stats reset between runs).  Partition
-   construction, allocation and the sequential golden run are all
-   outside the timing, so the ratio isolates the statement-body
-   engines: closure-specialized kernels vs the per-iteration AST walk.
-   The crossover sweep runs the compiled backend on 1 vs all
-   recommended domains across sizes to locate where domain fan-out
-   starts paying; on a single-CPU host it cannot, and the verdict line
-   records that honestly. *)
-
-type backend_row = {
-  bk_workload : string;
-  bk_size : int;
-  bk_iterations : int;
-  bk_blocks : int;
-  bk_interp_s : float;
-  bk_compiled_s : float;
-  bk_speedup : float;
-}
-
-type crossover_row = {
-  cx_size : int;
-  cx_iterations : int;
-  cx_domains : int;
-  cx_seq_s : float;
-  cx_par_s : float;
-  cx_ratio : float;  (** seq/par: above 1 means fan-out wins *)
-}
-
-(* Every element any site of any block touches, stored on the block's
-   owner — exactly the allocator's surface, under plain names. *)
-let pre_place machine nest coset placement =
-  let prog = Cf_exec.Compile.make nest in
-  let stmts = Cf_exec.Compile.stmts prog in
-  let arrays = Cf_exec.Compile.arrays prog in
-  List.iter
-    (fun (b : Coset.block) ->
-      let pe = placement b.Coset.id in
-      Coset.iter_block ~reuse:true coset ~id:b.Coset.id (fun iter ->
-          Array.iter
-            (fun (ss : Cf_exec.Compile.stmt_sites) ->
-              let place (site : Cf_exec.Compile.Site.t) =
-                let el = Cf_exec.Compile.Site.eval site iter in
-                let name = arrays.(site.Cf_exec.Compile.Site.slot) in
-                if not (Cf_machine.Machine.holds machine ~pe name el) then
-                  Cf_machine.Machine.store machine ~pe name el
-                    (Cf_exec.Seqexec.default_init name el)
-              in
-              place ss.Cf_exec.Compile.lhs;
-              Array.iter place ss.Cf_exec.Compile.reads)
-            stmts))
-    (Coset.blocks coset);
-  Cf_machine.Machine.compact machine
-
-(* Execution-only seconds per run, calibrated to ~0.2s of repetitions
-   so single runs too fast for the clock still resolve. *)
-let exec_time ~backend ~domains machine coset placement =
-  let run () =
-    Cf_machine.Machine.reset_stats machine;
-    ignore
-      (Cf_exec.Parexec.execute_indexed ~backend ~allocate:false
-         ~validate:false ~domains ~machine ~placement
-         ~strategy:Strategy.Duplicate coset)
-  in
-  run ();
-  let _, once = time run in
-  let reps = max 1 (int_of_float (0.2 /. Float.max 1e-6 once)) in
-  let _, t =
-    time2 (fun () ->
-        for _ = 1 to reps do
-          run ()
-        done)
-  in
-  t /. float_of_int reps
-
-let backend_case ~workload ~size build psi_of =
-  let nest = build ~size in
-  let coset = Coset.make nest (psi_of nest) in
-  let placement = Cf_exec.Parexec.cyclic ~nprocs:scale_procs in
-  let machine = scale_machine () in
-  pre_place machine nest coset placement;
-  let interp =
-    exec_time ~backend:`Interpreted ~domains:1 machine coset placement
-  in
-  let compiled =
-    exec_time ~backend:`Compiled ~domains:1 machine coset placement
-  in
-  {
-    bk_workload = workload;
-    bk_size = size;
-    bk_iterations = Cf_loop.Nest.cardinal nest;
-    bk_blocks = Coset.block_count coset;
-    bk_interp_s = interp;
-    bk_compiled_s = compiled;
-    bk_speedup = interp /. compiled;
-  }
-
-let backend_rows ~quick () =
-  let kernel name =
-    List.find
-      (fun k -> k.Cf_workloads.Workloads.name = name)
-      Cf_workloads.Workloads.all
-  in
-  let matmul = kernel "matmul" and stencil = kernel "stencil3d" in
-  let diag3 =
-    Cf_linalg.Subspace.span 3 [ Cf_linalg.Vec.of_int_list [ 1; 1; 1 ] ]
-  in
-  let dup nest = Strategy.partitioning_space Strategy.Duplicate nest in
-  let msize = if quick then 16 else 64 in
-  let ssize = if quick then 12 else 48 in
-  [
-    backend_case ~workload:"matmul" ~size:msize
-      matmul.Cf_workloads.Workloads.build dup;
-    backend_case ~workload:"stencil3d" ~size:ssize
-      stencil.Cf_workloads.Workloads.build (fun _ -> diag3);
-  ]
-
-let crossover_rows ~quick () =
-  let kernel =
-    List.find
-      (fun k -> k.Cf_workloads.Workloads.name = "matmul")
-      Cf_workloads.Workloads.all
-  in
-  let domains =
-    max 1 (min (Domain.recommended_domain_count ()) scale_procs)
-  in
-  let placement = Cf_exec.Parexec.cyclic ~nprocs:scale_procs in
-  List.map
-    (fun size ->
-      let nest = kernel.Cf_workloads.Workloads.build ~size in
-      let psi = Strategy.partitioning_space Strategy.Duplicate nest in
-      let coset = Coset.make nest psi in
-      let machine = scale_machine () in
-      pre_place machine nest coset placement;
-      let seq =
-        exec_time ~backend:`Compiled ~domains:1 machine coset placement
-      in
-      let par =
-        exec_time ~backend:`Compiled ~domains machine coset placement
-      in
-      {
-        cx_size = size;
-        cx_iterations = Cf_loop.Nest.cardinal nest;
-        cx_domains = domains;
-        cx_seq_s = seq;
-        cx_par_s = par;
-        cx_ratio = seq /. par;
-      })
-    (if quick then [ 8; 12; 16 ] else [ 16; 32; 48 ])
-
-let print_backend_rows rows crossover =
-  section "E19 - compiled vs interpreted statement kernels (execution only)";
-  Printf.printf "%-10s %5s %9s %8s %14s %14s %12s %12s %8s\n" "workload"
-    "size" "iters" "blocks" "interp(s)" "compiled(s)" "interp it/s"
-    "compiled it/s" "speedup";
-  List.iter
-    (fun r ->
-      Printf.printf "%-10s %5d %9d %8d %14.6f %14.6f %12.0f %12.0f %7.1fx\n"
-        r.bk_workload r.bk_size r.bk_iterations r.bk_blocks r.bk_interp_s
-        r.bk_compiled_s
-        (float_of_int r.bk_iterations /. r.bk_interp_s)
-        (float_of_int r.bk_iterations /. r.bk_compiled_s)
-        r.bk_speedup)
-    rows;
-  Printf.printf
-    "crossover (compiled backend, matmul, 1 domain vs %d domain(s)):\n"
-    (match crossover with r :: _ -> r.cx_domains | [] -> 1);
-  Printf.printf "%-6s %9s %12s %12s %8s\n" "size" "iters" "1-dom(s)"
-    "N-dom(s)" "ratio";
-  List.iter
-    (fun c ->
-      Printf.printf "%-6d %9d %12.6f %12.6f %7.2fx\n" c.cx_size
-        c.cx_iterations c.cx_seq_s c.cx_par_s c.cx_ratio)
-    crossover;
-  (match List.find_opt (fun c -> c.cx_ratio > 1.0) crossover with
-  | Some c ->
-    Printf.printf "crossover point: fan-out first wins at size %d (%.2fx)\n"
-      c.cx_size c.cx_ratio
-  | None ->
-    Printf.printf
-      "crossover point: none in this sweep (%d domain(s) available)\n"
-      (Domain.recommended_domain_count ()))
-
-let backend_rows_json rows =
-  String.concat ",\n"
-    (List.map
-       (fun r ->
-         Printf.sprintf
-           "    {\"workload\": \"%s\", \"size\": %d, \"iterations\": %d, \
-            \"blocks\": %d, \"interpreted_s\": %.6f, \"compiled_s\": %.6f, \
-            \"interpreted_iters_per_sec\": %.0f, \
-            \"compiled_iters_per_sec\": %.0f, \"speedup\": %.2f}"
-           (json_escape r.bk_workload) r.bk_size r.bk_iterations r.bk_blocks
-           r.bk_interp_s r.bk_compiled_s
-           (float_of_int r.bk_iterations /. r.bk_interp_s)
-           (float_of_int r.bk_iterations /. r.bk_compiled_s)
-           r.bk_speedup)
-       rows)
-
-let crossover_json rows =
-  String.concat ",\n"
-    (List.map
-       (fun c ->
-         Printf.sprintf
-           "    {\"name\": \"matmul-compiled\", \"size\": %d, \
-            \"iterations\": %d, \"domains\": %d, \"seq_s\": %.6f, \
-            \"par_s\": %.6f, \"ratio\": %.3f}"
-           c.cx_size c.cx_iterations c.cx_domains c.cx_seq_s c.cx_par_s
-           c.cx_ratio)
-       rows)
-
-let scale_extra ~backends ~crossover =
-  Printf.sprintf
-    ",\n  \"backend_rows\": [\n%s\n  ],\n  \"crossover\": [\n%s\n  ]"
-    (backend_rows_json backends) (crossover_json crossover)
-
-(* E15: the concurrent planning service.  Throughput of a mixed planning
-   workload through the worker pool at 1/2/4 domains with the
-   canonical-form cache on vs off, plus the warm-hit vs cold-plan
-   latency ratio.  The workload mixes the paper loops, the workload
-   kernels and renamed copies of each — renamings are exactly what the
-   canonicalizer collapses, so the cache-on rows show the memoization
-   win while cache-off rows measure raw planning throughput.  On a
-   single-CPU host the multi-domain rows cannot speed up (the column
-   [domains_available] records what the runtime offered); the rows still
-   exercise the concurrent paths and become meaningful on real cores. *)
-
-type service_row = {
-  sv_domains : int;
-  sv_cache : bool;
-  sv_requests : int;
-  sv_completed : int;
-  sv_elapsed : float;
-  sv_throughput : float;
-  sv_p50 : float;
-  sv_p95 : float;
-  sv_p99 : float;
-  sv_hit_rate : float option;
-}
-
-let service_nests ~quick () =
-  let base =
-    [ l1; l2; l3; l4; Cf_exec.Matmul.nest ~m:(if quick then 4 else 8) ]
-    @ List.map
-        (fun k -> k.Cf_workloads.Workloads.build ~size:(if quick then 4 else 8))
-        Cf_workloads.Workloads.all
-  in
-  (* Renamed copies: structurally identical, textually distinct. *)
-  let copies = if quick then 2 else 6 in
-  List.concat_map
-    (fun nest ->
-      nest
-      :: List.init copies (fun k ->
-             let salt = Printf.sprintf "v%d" k in
-             Cf_cache.Canon.rename
-               ~index:(fun v -> v ^ "_" ^ salt)
-               ~array:(fun a -> a ^ "_" ^ salt)
-               ~scalar:(fun s -> s ^ "_" ^ salt)
-               ~label:(fun i _ -> Printf.sprintf "R%d_%s" i salt)
-               nest))
-    base
-
-let service_strategies =
-  [ Strategy.Nonduplicate; Strategy.Duplicate; Strategy.Min_duplicate ]
-
-let service_case ~domains ~cache nests =
-  let module S = Cf_service.Service in
-  let svc =
-    S.create ~domains ~queue_depth:64
-      ~cache:(if cache then Some 1024 else None)
-      ()
-  in
-  let _, elapsed =
-    time (fun () ->
-        List.iter
-          (fun strategy ->
-            List.iter
-              (fun o ->
-                match o with
-                | S.Done _ -> ()
-                | o ->
-                  failwith
-                    (Format.asprintf "service request failed: %a" S.pp_outcome
-                       o))
-              (S.plan_many ~strategy svc nests))
-          service_strategies)
-  in
-  let s = S.stats svc in
-  S.shutdown svc;
-  {
-    sv_domains = domains;
-    sv_cache = cache;
-    sv_requests = s.S.submitted;
-    sv_completed = s.S.completed;
-    sv_elapsed = elapsed;
-    sv_throughput = float_of_int s.S.completed /. elapsed;
-    sv_p50 = s.S.latency.Cf_obs.Histogram.p50;
-    sv_p95 = s.S.latency.Cf_obs.Histogram.p95;
-    sv_p99 = s.S.latency.Cf_obs.Histogram.p99;
-    sv_hit_rate = Option.map Cf_cache.Memo.hit_rate s.S.cache;
-  }
-
-(* Warm-hit vs cold-plan latency on one heavyweight request: the cache
-   should answer at least an order of magnitude faster than planning. *)
-let service_hit_speedup ~quick () =
-  let nest = Cf_exec.Matmul.nest ~m:(if quick then 6 else 10) in
-  let strategy = Strategy.Min_duplicate in
-  let planner = Cf_service.Planner.create () in
-  let _, cold =
-    time (fun () -> Cf_service.Planner.plan ~strategy planner nest)
-  in
-  let _, warm =
-    time2 (fun () -> Cf_service.Planner.plan ~strategy planner nest)
-  in
-  (cold, warm)
-
-(* The service must answer exactly what a sequential plan would. *)
-let service_identity_check () =
-  let module S = Cf_service.Service in
-  let svc = S.create ~domains:2 () in
-  let nests = [ l1; l2; l3; l4 ] in
-  let ok =
-    List.for_all
-      (fun strategy ->
-        List.for_all2
-          (fun nest o ->
-            match o with
-            | S.Done c ->
-              Format.asprintf "%a" Cf_pipeline.Pipeline.describe c.S.plan
-              = Format.asprintf "%a" Cf_pipeline.Pipeline.describe
-                  (Cf_pipeline.Pipeline.plan ~strategy nest)
-            | _ -> false)
-          nests
-          (S.plan_many ~strategy svc nests))
-      Strategy.all
-  in
-  S.shutdown svc;
-  ok
-
-let service_rows ~quick () =
-  let nests = service_nests ~quick () in
-  List.concat_map
-    (fun domains ->
-      [ service_case ~domains ~cache:false nests;
-        service_case ~domains ~cache:true nests ])
-    [ 1; 2; 4 ]
-
-let print_service_rows ~quick rows =
-  section "E15 - planning service: throughput, cache, latency";
-  Printf.printf "domains available: %d\n" (Domain.recommended_domain_count ());
-  Printf.printf "%-8s %-6s %-9s %-10s %-10s %-10s %-10s %-8s\n" "domains"
-    "cache" "requests" "plans/s" "p50(ms)" "p95(ms)" "p99(ms)" "hits";
-  List.iter
-    (fun r ->
-      Printf.printf "%-8d %-6s %-9d %-10.1f %-10.3f %-10.3f %-10.3f %-8s\n"
-        r.sv_domains
-        (if r.sv_cache then "on" else "off")
-        r.sv_requests r.sv_throughput (1e3 *. r.sv_p50) (1e3 *. r.sv_p95)
-        (1e3 *. r.sv_p99)
-        (match r.sv_hit_rate with
-        | None -> "-"
-        | Some h -> Printf.sprintf "%.0f%%" (100. *. h)))
-    rows;
-  let cold, warm = service_hit_speedup ~quick () in
-  Printf.printf
-    "warm-hit vs cold-plan (matmul, min-duplicate): cold=%.3fms warm=%.3fms \
-     (%.0fx)\n"
-    (1e3 *. cold) (1e3 *. warm) (cold /. warm);
-  Printf.printf "identity vs sequential plan: %b\n%!" (service_identity_check ())
-
-let write_service_json ~quick ~file rows =
-  let cold, warm = service_hit_speedup ~quick () in
-  let row_json r =
-    Printf.sprintf
-      "    {\"domains\": %d, \"cache\": %b, \"requests\": %d, \"completed\": \
-       %d, \"elapsed_s\": %.6f, \"throughput_per_s\": %.1f, \"p50_s\": %.6f, \
-       \"p95_s\": %.6f, \"p99_s\": %.6f, \"cache_hit_rate\": %s}"
-      r.sv_domains r.sv_cache r.sv_requests r.sv_completed r.sv_elapsed
-      r.sv_throughput r.sv_p50 r.sv_p95 r.sv_p99
-      (match r.sv_hit_rate with
-      | None -> "null"
-      | Some h -> Printf.sprintf "%.4f" h)
-  in
-  let oc = open_out file in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"planning-service\",\n\
-    \  \"domains_available\": %d,\n\
-    \  \"cold_plan_s\": %.6f,\n\
-    \  \"warm_hit_s\": %.6f,\n\
-    \  \"hit_speedup\": %.1f,\n\
-    \  \"identity_vs_sequential\": %b,\n\
-    \  \"rows\": [\n%s\n  ]\n}\n"
-    (Domain.recommended_domain_count ())
-    cold warm (cold /. warm) (service_identity_check ())
-    (String.concat ",\n" (List.map row_json rows));
-  close_out oc;
-  Printf.printf "wrote %s\n%!" file
-
 (* One Bechamel test per experiment: each measures the full pipeline that
    regenerates the corresponding artifact. *)
 let tests =
@@ -961,75 +306,423 @@ let run_benchmarks () =
       else Printf.printf "%-45s %10.1f ns/run\n" name ns)
     rows
 
-let probe () =
-  let kernel name =
-    List.find
-      (fun k -> k.Cf_workloads.Workloads.name = name)
-      Cf_workloads.Workloads.all
+(* {1 Extension experiments}
+
+   Each experiment returns one [report]: header fields, named groups of
+   rows (each row a JSON object), the fields that identify a row, the
+   gated keys — values reproducible bit-for-bit from the seed on any
+   host, so [cfalloc bench-diff] fails on any change to one — and a pass
+   verdict.  [run_entry] prints, writes and judges every report the same
+   way; the [registry] at the end maps each command-line flag to its
+   experiment and report file. *)
+
+module J = Cf_obs.Json
+module W = Cf_workloads.Workloads
+module Machine = Cf_machine.Machine
+module Parexec = Cf_exec.Parexec
+
+type report = {
+  tag : string;  (** the report's ["bench"] field *)
+  header : (string * J.t) list;
+  groups : (string * J.t list) list;
+  row_key : string list;
+  gated : string list;
+  ok : bool;
+}
+
+type entry = {
+  flag : string;
+  file : string;
+  title : string;
+  run : quick:bool -> report;
+}
+
+let int n = J.Num (float_of_int n)
+let num x = J.Num x
+let str s = J.Str s
+let bool b = J.Bool b
+let opt f = function Some x -> f x | None -> J.Null
+
+(* A numeric field of a row ([nan] when absent). *)
+let field key row =
+  Option.value (Option.bind (J.member key row) J.num) ~default:Float.nan
+
+let all_true key rows =
+  List.for_all (fun r -> J.member key r = Some (J.Bool true)) rows
+
+let time f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
+(* Best of two runs: single-core wall-clock here is noisy (GC, host
+   jitter), and the minimum is the standard robust estimator. *)
+let time2 f =
+  let r, t1 = time f in
+  let _, t2 = time f in
+  (r, Float.min t1 t2)
+
+(* The 16-PE transputer mesh every engine experiment runs on. *)
+let procs = 16
+let placement = Parexec.cyclic ~nprocs:procs
+
+let mesh_machine ?faults ?obs () =
+  Machine.create ?faults ?obs
+    (Cf_machine.Topology.mesh [| 4; 4 |])
+    Cf_machine.Cost.transputer
+
+let domains_available = Domain.recommended_domain_count ()
+let domains_used = max 1 (min domains_available procs)
+let dup nest = Strategy.partitioning_space Strategy.Duplicate nest
+
+(* stencil3d is partitioned along its diagonal. *)
+let diag3 _ =
+  Cf_linalg.Subspace.span 3 [ Cf_linalg.Vec.of_int_list [ 1; 1; 1 ] ]
+
+(* E14: the scale-out execution engine.  Each row times the complete
+   simulation — partition construction plus communication-free
+   execution (validation off: both executors then measure pure
+   simulated execution throughput) — under three configurations: the
+   materialized Iter_partition reference executor of cf_check
+   (baseline), the engine over the closed-form Coset index on one
+   domain, and the same fanned out over all domains.  Large
+   instances skip the baseline (materializing 128³-class partitions is
+   exactly what the indexed engine exists to avoid). *)
+
+let scale_row ~with_baseline ~workload ~psi_label ~size build psi_of =
+  let nest = build ~size in
+  let psi = psi_of nest in
+  let strategy = Strategy.Duplicate in
+  let baseline_s =
+    if not with_baseline then None
+    else
+      let (), s =
+        time2 (fun () ->
+            let machine = mesh_machine () in
+            let partition = Iter_partition.make nest psi in
+            ignore
+              (Cf_check.Refexec.execute ~validate:false ~machine ~placement
+                 ~strategy partition))
+      in
+      Some s
   in
-  let diag3 =
-    Cf_linalg.Subspace.span 3 [ Cf_linalg.Vec.of_int_list [ 1; 1; 1 ] ]
+  let coset, seq_s =
+    time2 (fun () ->
+        let machine = mesh_machine () in
+        let coset = Coset.make nest psi in
+        ignore
+          (Parexec.execute_indexed ~validate:false ~domains:1 ~machine
+             ~placement ~strategy coset);
+        coset)
   in
-  let placement = Cf_exec.Parexec.cyclic ~nprocs:scale_procs in
-  let run name psi_of =
-    let nest = (kernel name).Cf_workloads.Workloads.build ~size:64 in
-    let coset, t_coset = time (fun () -> Coset.make nest (psi_of nest)) in
-    let machine = scale_machine () in
-    let _, t_allocexec =
-      time (fun () ->
-          Cf_exec.Parexec.execute_indexed ~validate:false ~domains:1 ~machine
-            ~placement ~strategy:Strategy.Duplicate coset)
-    in
-    Printf.printf "%s: coset.make=%.4f alloc+exec=%.4f\n%!" name t_coset
-      t_allocexec
+  let machine, par_s =
+    time2 (fun () ->
+        let machine = mesh_machine () in
+        ignore
+          (Parexec.execute_indexed ~validate:false ~domains:domains_used
+             ~machine ~placement ~strategy coset);
+        machine)
   in
-  run "matmul" (Strategy.partitioning_space Strategy.Duplicate);
-  run "stencil3d" (fun _ -> diag3);
-  (* Split the execution-only cost of the two backends: walker alone,
-     then each backend, matmul m=16 (the E19 quick configuration). *)
-  let nest = (kernel "matmul").Cf_workloads.Workloads.build ~size:16 in
-  let psi = Strategy.partitioning_space Strategy.Duplicate nest in
-  let coset = Coset.make nest psi in
-  let machine = scale_machine () in
-  pre_place machine nest coset placement;
-  let walk () =
-    let n = ref 0 in
-    for id = 1 to Coset.block_count coset do
-      Coset.iter_block ~reuse:true coset ~id (fun _ -> incr n)
-    done;
-    !n
+  let iterations = Nest.cardinal nest in
+  let max_block =
+    List.fold_left
+      (fun acc (b : Coset.block) -> max acc b.Coset.size)
+      0 (Coset.blocks coset)
   in
-  let reps = 200 in
-  let _, t_walk =
+  J.Obj
+    [ ("workload", str workload); ("psi", str psi_label); ("size", int size);
+      ("iterations", int iterations);
+      ("blocks", int (Coset.block_count coset));
+      ("max_block", int max_block); ("procs", int procs);
+      ("domains", int domains_used); ("baseline_s", opt num baseline_s);
+      ("indexed_seq_s", num seq_s); ("indexed_par_s", num par_s);
+      ("speedup_vs_baseline", opt (fun b -> num (b /. seq_s)) baseline_s);
+      ("parallel_speedup", num (seq_s /. par_s));
+      ("iterations_per_sec", num (float_of_int iterations /. par_s));
+      ("makespan_s", num (Machine.makespan machine)) ]
+
+(* One validated cross-check: identical reports from the reference
+   executor and the engine.  Returns (both ok, reports identical). *)
+let cross_check () =
+  let nest = Cf_exec.Matmul.nest ~m:12 in
+  let psi = dup nest in
+  let strategy = Strategy.Duplicate in
+  let mb = mesh_machine () and mi = mesh_machine () in
+  let base =
+    Cf_check.Refexec.execute ~machine:mb ~placement ~strategy
+      (Iter_partition.make nest psi)
+  in
+  let indexed =
+    Parexec.execute_indexed ~machine:mi ~placement ~strategy
+      (Coset.make nest psi)
+  in
+  ( Parexec.ok base && Parexec.ok indexed,
+    base.Parexec.remote_access = indexed.Parexec.remote_access
+    && base.Parexec.mismatches = indexed.Parexec.mismatches
+    && base.Parexec.per_pe_iterations = indexed.Parexec.per_pe_iterations
+    && Machine.max_compute_time mb = Machine.max_compute_time mi )
+
+(* E19: compiled vs interpreted statement kernels, execution only.
+   Data is pre-placed under plain array names once — the same surface
+   the allocator would build, minus the per-block copy suffix — and
+   each backend then re-runs only the block loop ([~allocate:false
+   ~validate:false], stats reset between runs).  Partition
+   construction, allocation and the sequential golden run are all
+   outside the timing, so the ratio isolates the statement-body
+   engines: closure-specialized kernels vs the per-iteration AST walk.
+   The crossover sweep runs the compiled backend on 1 vs all
+   recommended domains across sizes to locate where domain fan-out
+   starts paying; on a single-CPU host it cannot, and the header's
+   [crossover_at] records that honestly as null. *)
+
+(* Every element any site of any block touches, stored on the block's
+   owner — exactly the allocator's surface, under plain names. *)
+let pre_place machine nest coset =
+  let prog = Cf_exec.Compile.make nest in
+  let stmts = Cf_exec.Compile.stmts prog in
+  let arrays = Cf_exec.Compile.arrays prog in
+  List.iter
+    (fun (b : Coset.block) ->
+      let pe = placement b.Coset.id in
+      Coset.iter_block ~reuse:true coset ~id:b.Coset.id (fun iter ->
+          Array.iter
+            (fun (ss : Cf_exec.Compile.stmt_sites) ->
+              let place (site : Cf_exec.Compile.Site.t) =
+                let el = Cf_exec.Compile.Site.eval site iter in
+                let name = arrays.(site.Cf_exec.Compile.Site.slot) in
+                if not (Machine.holds machine ~pe name el) then
+                  Machine.store machine ~pe name el
+                    (Cf_exec.Seqexec.default_init name el)
+              in
+              place ss.Cf_exec.Compile.lhs;
+              Array.iter place ss.Cf_exec.Compile.reads)
+            stmts))
+    (Coset.blocks coset);
+  Machine.compact machine
+
+(* Execution-only seconds per run, calibrated to ~0.2s of repetitions
+   so single runs too fast for the clock still resolve. *)
+let exec_time ~backend ~domains machine coset =
+  let run () =
+    Machine.reset_stats machine;
+    ignore
+      (Parexec.execute_indexed ~backend ~allocate:false ~validate:false
+         ~domains ~machine ~placement ~strategy:Strategy.Duplicate coset)
+  in
+  run ();
+  let _, once = time run in
+  let reps = max 1 (int_of_float (0.2 /. Float.max 1e-6 once)) in
+  let _, t =
     time2 (fun () ->
         for _ = 1 to reps do
-          ignore (walk ())
+          run ()
         done)
   in
-  let t_exec backend =
-    exec_time ~backend ~domains:1 machine coset placement
-  in
-  Printf.printf
-    "matmul16 exec-only: walk=%.1fus interp=%.1fus compiled=%.1fus\n%!"
-    (1e6 *. t_walk /. float_of_int reps)
-    (1e6 *. t_exec `Interpreted)
-    (1e6 *. t_exec `Compiled);
-  let nest = (kernel "matmul").Cf_workloads.Workloads.build ~size:32 in
-  let psi = Strategy.partitioning_space Strategy.Duplicate nest in
-  let coset = Coset.make nest psi in
-  let machine = scale_machine () in
-  pre_place machine nest coset placement;
-  let t_exec backend =
-    exec_time ~backend ~domains:1 machine coset placement
-  in
-  Printf.printf "matmul32 exec-only: interp=%.1fus compiled=%.1fus\n%!"
-    (1e6 *. t_exec `Interpreted)
-    (1e6 *. t_exec `Compiled)
+  t /. float_of_int reps
 
-let run_service ~quick =
-  let rows = service_rows ~quick () in
-  print_service_rows ~quick rows;
-  write_service_json ~quick ~file:(json_file "BENCH_service.json") rows
+let placed nest psi_of =
+  let coset = Coset.make nest (psi_of nest) in
+  let machine = mesh_machine () in
+  pre_place machine nest coset;
+  (machine, coset)
+
+let backend_row ~workload ~size build psi_of =
+  let nest = build ~size in
+  let machine, coset = placed nest psi_of in
+  let interp = exec_time ~backend:`Interpreted ~domains:1 machine coset in
+  let compiled = exec_time ~backend:`Compiled ~domains:1 machine coset in
+  let iterations = Nest.cardinal nest in
+  let per_sec t = num (float_of_int iterations /. t) in
+  J.Obj
+    [ ("workload", str workload); ("size", int size);
+      ("iterations", int iterations);
+      ("blocks", int (Coset.block_count coset));
+      ("interpreted_s", num interp); ("compiled_s", num compiled);
+      ("interpreted_iters_per_sec", per_sec interp);
+      ("compiled_iters_per_sec", per_sec compiled);
+      ("speedup", num (interp /. compiled)) ]
+
+let crossover_row size =
+  let nest = W.matmul.W.build ~size in
+  let machine, coset = placed nest dup in
+  let seq = exec_time ~backend:`Compiled ~domains:1 machine coset in
+  let par = exec_time ~backend:`Compiled ~domains:domains_used machine coset in
+  J.Obj
+    [ ("name", str "matmul-compiled"); ("size", int size);
+      ("iterations", int (Nest.cardinal nest)); ("domains", int domains_used);
+      ("seq_s", num seq); ("par_s", num par); ("ratio", num (seq /. par)) ]
+
+let parexec ~quick =
+  let mm = ("matmul", "dup", W.matmul.W.build, dup)
+  and st = ("stencil3d", "span(1,1,1)", W.stencil_3d.W.build, diag3) in
+  let scale ?(with_baseline = true) (workload, psi_label, build, psi_of) size =
+    scale_row ~with_baseline ~workload ~psi_label ~size build psi_of
+  in
+  let backend (workload, _, build, psi_of) size =
+    backend_row ~workload ~size build psi_of
+  in
+  let rows =
+    if quick then [ scale mm 16; scale st 12 ]
+    else
+      [ scale mm 64; scale st 64; scale ~with_baseline:false mm 128;
+        scale ~with_baseline:false st 128 ]
+  in
+  let ok, identical = cross_check () in
+  let backends =
+    if quick then [ backend mm 16; backend st 12 ]
+    else [ backend mm 64; backend st 48 ]
+  in
+  let crossover =
+    List.map crossover_row (if quick then [ 8; 12; 16 ] else [ 16; 32; 48 ])
+  in
+  {
+    tag = "parexec-scale";
+    header =
+      [ ("domains_available", int domains_available);
+        ( "crossover_at",
+          Option.value ~default:J.Null
+            (List.find_map
+               (fun r ->
+                 if field "ratio" r > 1.0 then J.member "size" r else None)
+               crossover) );
+        ("cross_check_ok", bool ok); ("reports_identical", bool identical) ];
+    groups =
+      [ ("rows", rows); ("backend_rows", backends); ("crossover", crossover) ];
+    row_key = [ "workload"; "name"; "size" ];
+    gated =
+      [ "iterations"; "blocks"; "max_block"; "procs"; "makespan_s";
+        "cross_check_ok"; "reports_identical" ];
+    ok = ok && identical;
+  }
+
+(* E15: the concurrent planning service.  Throughput of a mixed planning
+   workload through the worker pool at 1/2/4 domains with the
+   canonical-form cache on vs off, plus the warm-hit vs cold-plan
+   latency ratio.  The workload mixes the paper loops, the workload
+   kernels and renamed copies of each — renamings are exactly what the
+   canonicalizer collapses, so the cache-on rows show the memoization
+   win while cache-off rows measure raw planning throughput.  On a
+   single-CPU host the multi-domain rows cannot speed up (the field
+   [domains_available] records what the runtime offered); the rows still
+   exercise the concurrent paths and become meaningful on real cores. *)
+
+let service_nests ~quick =
+  let base =
+    [ l1; l2; l3; l4; Cf_exec.Matmul.nest ~m:(if quick then 4 else 8) ]
+    @ List.map
+        (fun k -> k.W.build ~size:(if quick then 4 else 8))
+        W.all
+  in
+  (* Renamed copies: structurally identical, textually distinct. *)
+  let copies = if quick then 2 else 6 in
+  List.concat_map
+    (fun nest ->
+      nest
+      :: List.init copies (fun k ->
+             let salt = Printf.sprintf "v%d" k in
+             Cf_cache.Canon.rename
+               ~index:(fun v -> v ^ "_" ^ salt)
+               ~array:(fun a -> a ^ "_" ^ salt)
+               ~scalar:(fun s -> s ^ "_" ^ salt)
+               ~label:(fun i _ -> Printf.sprintf "R%d_%s" i salt)
+               nest))
+    base
+
+let service_row ~domains ~cache nests =
+  let module S = Cf_service.Service in
+  let svc =
+    S.create ~domains ~queue_depth:64
+      ~cache:(if cache then Some 1024 else None)
+      ()
+  in
+  let (), elapsed =
+    time (fun () ->
+        List.iter
+          (fun strategy ->
+            List.iter
+              (function
+                | S.Done _ -> ()
+                | o ->
+                  failwith
+                    (Format.asprintf "service request failed: %a" S.pp_outcome
+                       o))
+              (S.plan_many ~strategy svc nests))
+          [ Strategy.Nonduplicate; Strategy.Duplicate; Strategy.Min_duplicate ])
+  in
+  let s = S.stats svc in
+  S.shutdown svc;
+  let lat = s.S.latency in
+  J.Obj
+    [ ("domains", int domains); ("cache", bool cache);
+      ("requests", int s.S.submitted); ("completed", int s.S.completed);
+      ("elapsed_s", num elapsed);
+      ("throughput_per_s", num (float_of_int s.S.completed /. elapsed));
+      ("p50_s", num lat.Cf_obs.Histogram.p50);
+      ("p95_s", num lat.Cf_obs.Histogram.p95);
+      ("p99_s", num lat.Cf_obs.Histogram.p99);
+      ( "cache_hit_rate",
+        opt (fun c -> num (Cf_cache.Memo.hit_rate c)) s.S.cache ) ]
+
+(* Warm-hit vs cold-plan latency on one heavyweight request: the cache
+   should answer at least an order of magnitude faster than planning. *)
+let service_hit_speedup ~quick =
+  let nest = Cf_exec.Matmul.nest ~m:(if quick then 6 else 10) in
+  let strategy = Strategy.Min_duplicate in
+  let planner = Cf_service.Planner.create () in
+  let _, cold =
+    time (fun () -> Cf_service.Planner.plan ~strategy planner nest)
+  in
+  let _, warm =
+    time2 (fun () -> Cf_service.Planner.plan ~strategy planner nest)
+  in
+  (cold, warm)
+
+(* The service must answer exactly what a sequential plan would. *)
+let service_identity_check () =
+  let module S = Cf_service.Service in
+  let svc = S.create ~domains:2 () in
+  let nests = [ l1; l2; l3; l4 ] in
+  let ok =
+    List.for_all
+      (fun strategy ->
+        List.for_all2
+          (fun nest o ->
+            match o with
+            | S.Done c ->
+              Format.asprintf "%a" Cf_pipeline.Pipeline.describe c.S.plan
+              = Format.asprintf "%a" Cf_pipeline.Pipeline.describe
+                  (Cf_pipeline.Pipeline.plan ~strategy nest)
+            | _ -> false)
+          nests
+          (S.plan_many ~strategy svc nests))
+      Strategy.all
+  in
+  S.shutdown svc;
+  ok
+
+let service ~quick =
+  let nests = service_nests ~quick in
+  let rows =
+    List.concat_map
+      (fun domains ->
+        [ service_row ~domains ~cache:false nests;
+          service_row ~domains ~cache:true nests ])
+      [ 1; 2; 4 ]
+  in
+  let cold, warm = service_hit_speedup ~quick in
+  let identical = service_identity_check () in
+  {
+    tag = "planning-service";
+    header =
+      [ ("domains_available", int domains_available); ("cold_plan_s", num cold);
+        ("warm_hit_s", num warm); ("hit_speedup", num (cold /. warm));
+        ("identity_vs_sequential", bool identical) ];
+    groups = [ ("rows", rows) ];
+    row_key = [ "domains"; "cache" ];
+    gated =
+      [ "requests"; "completed"; "cache_hit_rate"; "identity_vs_sequential" ];
+    ok = identical;
+  }
 
 (* E16: fault injection and recovery.  The same workload runs fault-free
    and under fault plans killing 0/1/2/4 of the 16 PEs a few iterations
@@ -1040,263 +733,127 @@ let run_service ~quick =
    [identical] certifies the recovered result is bit-for-bit the
    fault-free answer. *)
 
-type fault_row = {
-  ft_workload : string;
-  ft_size : int;
-  ft_kills : int;
-  ft_crashed : int;
-  ft_rounds : int;
-  ft_replayed : int;
-  ft_rewords : int;
-  ft_retries : int;
-  ft_makespan_ok : float;
-  ft_makespan_fault : float;
-  ft_identical : bool;
-}
+let fault_plan kills =
+  Cf_fault.Fault.make ~procs
+    {
+      Cf_fault.Fault.none with
+      seed = 7;
+      kills;
+      drop_rate = 0.02;
+      corrupt_rate = 0.01;
+    }
 
-let fault_rows ~quick () =
-  let placement = Cf_exec.Parexec.cyclic ~nprocs:scale_procs in
-  let case ~workload ~size nest psi =
-    let strategy = Strategy.Duplicate in
-    let coset = Coset.make nest psi in
-    let run ?faults () =
-      let machine =
-        Cf_machine.Machine.create ?faults
-          (Cf_machine.Topology.mesh [| 4; 4 |])
-          Cf_machine.Cost.transputer
+let fault_run ?faults ?checkpoint_every ?checkpoint_mode coset =
+  let machine = mesh_machine ?faults () in
+  let r =
+    Parexec.execute_indexed ~charge_distribution:true ?checkpoint_every
+      ?checkpoint_mode ~machine ~placement ~strategy:Strategy.Duplicate coset
+  in
+  (r, machine)
+
+let fault_rows ~workload ~size coset =
+  let base, base_machine = fault_run coset in
+  let base_mk = Machine.makespan base_machine in
+  List.map
+    (fun kills ->
+      let r, machine =
+        fault_run
+          ~faults:(fault_plan (List.init kills (fun i -> (i, 4 + i))))
+          coset
       in
-      let r =
-        Cf_exec.Parexec.execute_indexed ~charge_distribution:true ~machine
-          ~placement ~strategy coset
-      in
-      (r, Cf_machine.Machine.makespan machine, Cf_machine.Machine.retries machine)
-    in
-    let base, base_mk, _ = run () in
-    List.map
-      (fun kills ->
-        let spec =
-          {
-            Cf_fault.Fault.none with
-            seed = 7;
-            kills = List.init kills (fun i -> (i, 4 + i));
-            drop_rate = 0.02;
-            corrupt_rate = 0.01;
-          }
-        in
-        let plan = Cf_fault.Fault.make ~procs:scale_procs spec in
-        let r, mk, retries = run ~faults:plan () in
-        let rc = Option.get r.Cf_exec.Parexec.recovery in
-        {
-          ft_workload = workload;
-          ft_size = size;
-          ft_kills = kills;
-          ft_crashed = List.length rc.Cf_exec.Parexec.crashed_pes;
-          ft_rounds = rc.Cf_exec.Parexec.rounds;
-          ft_replayed = rc.Cf_exec.Parexec.replayed_blocks;
-          ft_rewords = rc.Cf_exec.Parexec.redistributed_words;
-          ft_retries = retries;
-          ft_makespan_ok = base_mk;
-          ft_makespan_fault = mk;
-          ft_identical = Cf_exec.Parexec.ok base && Cf_exec.Parexec.ok r;
-        })
-      [ 0; 1; 2; 4 ]
-  in
-  let kernel name =
-    List.find
-      (fun k -> k.Cf_workloads.Workloads.name = name)
-      Cf_workloads.Workloads.all
-  in
-  let matmul = kernel "matmul" and stencil = kernel "stencil3d" in
-  let diag3 =
-    Cf_linalg.Subspace.span 3 [ Cf_linalg.Vec.of_int_list [ 1; 1; 1 ] ]
-  in
-  let msize = if quick then 8 else 16 in
-  let ssize = if quick then 8 else 12 in
-  let mm = matmul.Cf_workloads.Workloads.build ~size:msize in
-  let st = stencil.Cf_workloads.Workloads.build ~size:ssize in
-  case ~workload:"matmul" ~size:msize mm
-    (Strategy.partitioning_space Strategy.Duplicate mm)
-  @ case ~workload:"stencil3d" ~size:ssize st diag3
-
-let print_fault_rows rows =
-  section "E16 - fault injection: recovery overhead vs kill rate";
-  Printf.printf "%-10s %5s %5s %7s %6s %8s %8s %7s %12s %12s %8s %9s\n"
-    "workload" "size" "kills" "crashed" "rounds" "replayed" "resent" "retries"
-    "ok(s)" "faulted(s)" "overhead" "identical";
-  List.iter
-    (fun r ->
-      Printf.printf "%-10s %5d %5d %7d %6d %8d %8d %7d %12.6f %12.6f %7.2fx %9b\n"
-        r.ft_workload r.ft_size r.ft_kills r.ft_crashed r.ft_rounds
-        r.ft_replayed r.ft_rewords r.ft_retries r.ft_makespan_ok
-        r.ft_makespan_fault
-        (r.ft_makespan_fault /. r.ft_makespan_ok)
-        r.ft_identical)
-    rows
-
-type ckpt_row = {
-  ck_workload : string;
-  ck_size : int;
-  ck_every : int;
-  ck_mode : string; (* "delta" | "full" *)
-  ck_checkpoints : int;
-  ck_words : int;
-  ck_rounds : int;
-  ck_rewords : int;
-  ck_identical : bool;
-}
-
-let write_faults_json ~file rows crows =
-  let row_json r =
-    Printf.sprintf
-      "    {\"workload\": \"%s\", \"size\": %d, \"kills\": %d, \"crashed\": \
-       %d, \"rounds\": %d, \"replayed_blocks\": %d, \"redistributed_words\": \
-       %d, \"retries\": %d, \"makespan_ok_s\": %.6f, \"makespan_fault_s\": \
-       %.6f, \"overhead\": %.4f, \"identical\": %b}"
-      (json_escape r.ft_workload) r.ft_size r.ft_kills r.ft_crashed r.ft_rounds
-      r.ft_replayed r.ft_rewords r.ft_retries r.ft_makespan_ok
-      r.ft_makespan_fault
-      (r.ft_makespan_fault /. r.ft_makespan_ok)
-      r.ft_identical
-  in
-  let crow_json r =
-    Printf.sprintf
-      "    {\"workload\": \"%s\", \"size\": %d, \"checkpoint_every\": %d, \
-       \"mode\": \"%s\", \"checkpoints\": %d, \"checkpoint_words\": %d, \
-       \"rounds\": %d, \"redistributed_words\": %d, \"identical\": %b}"
-      (json_escape r.ck_workload) r.ck_size r.ck_every r.ck_mode
-      r.ck_checkpoints r.ck_words r.ck_rounds r.ck_rewords r.ck_identical
-  in
-  let oc = open_out file in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"fault-recovery\",\n\
-    \  \"procs\": %d,\n\
-    \  \"rows\": [\n\
-     %s\n\
-    \  ],\n\
-    \  \"checkpoint_rows\": [\n\
-     %s\n\
-    \  ]\n\
-     }\n"
-    scale_procs
-    (String.concat ",\n" (List.map row_json rows))
-    (String.concat ",\n" (List.map crow_json crows));
-  close_out oc;
-  Printf.printf "wrote %s\n%!" file
+      let rc = Option.get r.Parexec.recovery in
+      let mk = Machine.makespan machine in
+      J.Obj
+        [ ("workload", str workload); ("size", int size); ("kills", int kills);
+          ("crashed", int (List.length rc.Parexec.crashed_pes));
+          ("rounds", int rc.Parexec.rounds);
+          ("replayed_blocks", int rc.Parexec.replayed_blocks);
+          ("redistributed_words", int rc.Parexec.redistributed_words);
+          ("retries", int (Machine.retries machine));
+          ("makespan_ok_s", num base_mk); ("makespan_fault_s", num mk);
+          ("overhead", num (mk /. base_mk));
+          ("identical", bool (Parexec.ok base && Parexec.ok r)) ])
+    [ 0; 1; 2; 4 ]
 
 (* E23: checkpoint overhead vs write rate and cadence.  The same two
    workloads run under a fixed two-kill fault plan while the recovery
    checkpoint is refreshed every 0/1/2/4 rounds, once with journaled
    delta captures and once with full deep copies as the reference.
-   [words] is the deterministic total payload captured across the run
-   — the delta rows must stay at O(writes): per-round delta
+   [checkpoint_words] is the deterministic total payload captured across
+   the run — the delta rows must stay at O(writes): per-round delta
    checkpointing in total may cost no more than the single
-   post-distribution full copy the engine always paid before. *)
+   post-distribution full copy the engine always paid before.
+   [ckpt_rows] returns whether the delta captures kept to that budget,
+   and the rows. *)
 
-let ckpt_rows ~quick () =
-  let placement = Cf_exec.Parexec.cyclic ~nprocs:scale_procs in
-  let case ~workload ~size nest psi =
-    let strategy = Strategy.Duplicate in
-    let coset = Coset.make nest psi in
-    let spec =
-      {
-        Cf_fault.Fault.none with
-        seed = 7;
-        kills = [ (0, 4); (1, 5) ];
-        drop_rate = 0.02;
-        corrupt_rate = 0.01;
-      }
-    in
-    let run ~every ~mode =
-      let machine =
-        Cf_machine.Machine.create
-          ~faults:(Cf_fault.Fault.make ~procs:scale_procs spec)
-          (Cf_machine.Topology.mesh [| 4; 4 |])
-          Cf_machine.Cost.transputer
-      in
-      let r =
-        Cf_exec.Parexec.execute_indexed ~charge_distribution:true
-          ~checkpoint_every:every ~checkpoint_mode:mode ~machine ~placement
-          ~strategy coset
-      in
-      let rc = Option.get r.Cf_exec.Parexec.recovery in
-      {
-        ck_workload = workload;
-        ck_size = size;
-        ck_every = every;
-        ck_mode = (match mode with `Delta -> "delta" | `Full -> "full");
-        ck_checkpoints = rc.Cf_exec.Parexec.checkpoints;
-        ck_words = rc.Cf_exec.Parexec.checkpoint_words;
-        ck_rounds = rc.Cf_exec.Parexec.rounds;
-        ck_rewords = rc.Cf_exec.Parexec.redistributed_words;
-        ck_identical = Cf_exec.Parexec.ok r;
-      }
-    in
-    List.map (fun every -> run ~every ~mode:`Delta) [ 0; 1; 2; 4 ]
-    @ [ run ~every:0 ~mode:`Full; run ~every:1 ~mode:`Full ]
+let ckpt_rows ~workload ~size coset =
+  let runs =
+    List.map
+      (fun (every, mode) ->
+        let r, _ =
+          fault_run
+            ~faults:(fault_plan [ (0, 4); (1, 5) ])
+            ~checkpoint_every:every ~checkpoint_mode:mode coset
+        in
+        let rc = Option.get r.Parexec.recovery in
+        ( rc.Parexec.checkpoint_words,
+          J.Obj
+            [ ("workload", str workload); ("size", int size);
+              ("checkpoint_every", int every);
+              ( "mode",
+                str (match mode with `Delta -> "delta" | `Full -> "full") );
+              ("checkpoints", int rc.Parexec.checkpoints);
+              ("checkpoint_words", int rc.Parexec.checkpoint_words);
+              ("rounds", int rc.Parexec.rounds);
+              ("redistributed_words", int rc.Parexec.redistributed_words);
+              ("identical", bool (Parexec.ok r)) ] ))
+      [ (0, `Delta); (1, `Delta); (2, `Delta); (4, `Delta); (0, `Full);
+        (1, `Full) ]
   in
-  let kernel name =
-    List.find
-      (fun k -> k.Cf_workloads.Workloads.name = name)
-      Cf_workloads.Workloads.all
-  in
-  let matmul = kernel "matmul" and stencil = kernel "stencil3d" in
-  let msize = if quick then 8 else 16 in
-  let ssize = if quick then 8 else 12 in
-  let mm = matmul.Cf_workloads.Workloads.build ~size:msize in
-  let st = stencil.Cf_workloads.Workloads.build ~size:ssize in
-  let diag3 =
-    Cf_linalg.Subspace.span 3 [ Cf_linalg.Vec.of_int_list [ 1; 1; 1 ] ]
-  in
-  case ~workload:"matmul" ~size:msize mm
-    (Strategy.partitioning_space Strategy.Duplicate mm)
-  @ case ~workload:"stencil3d" ~size:ssize st diag3
+  let words i = fst (List.nth runs i) in
+  let delta0, delta1, full0, full1 = (words 0, words 1, words 4, words 5) in
+  (* Per-round delta checkpointing in total must not exceed the old
+     single post-distribution full copy; the mandatory
+     post-distribution checkpoint must ride the compactor's donated
+     base, under 10% of the deep copy it replaces; and refreshing every
+     round must stay cheaper than deep copies at the same cadence. *)
+  ( delta1 <= full0
+    && float_of_int delta0 < 0.10 *. float_of_int full0
+    && delta1 < full1,
+    List.map snd runs )
 
-let print_ckpt_rows rows =
-  section "E23 - delta checkpoints: capture cost vs cadence";
-  Printf.printf "%-10s %5s %6s %6s %6s %10s %6s %8s %9s\n" "workload" "size"
-    "every" "mode" "ckpts" "words" "rounds" "resent" "identical";
-  List.iter
-    (fun r ->
-      Printf.printf "%-10s %5d %6d %6s %6d %10d %6d %8d %9b\n" r.ck_workload
-        r.ck_size r.ck_every r.ck_mode r.ck_checkpoints r.ck_words r.ck_rounds
-        r.ck_rewords r.ck_identical)
-    rows
-
-let ckpt_asserts rows =
-  let find w every mode =
-    List.find
-      (fun r -> r.ck_workload = w && r.ck_every = every && r.ck_mode = mode)
-      rows
+let faults ~quick =
+  let cosets =
+    List.map
+      (fun (workload, size, build, psi_of) ->
+        let nest = build ~size in
+        (workload, size, Coset.make nest (psi_of nest)))
+      [ ("matmul", (if quick then 8 else 16), W.matmul.W.build, dup);
+        ("stencil3d", (if quick then 8 else 12), W.stencil_3d.W.build, diag3) ]
   in
-  List.for_all
-    (fun w ->
-      (* Per-round delta checkpointing in total must not exceed the old
-         single post-distribution full copy... *)
-      (find w 1 "delta").ck_words <= (find w 0 "full").ck_words
-      (* ...the mandatory post-distribution checkpoint must ride the
-         compactor's donated base, under 10% of the deep copy it
-         replaces... *)
-      && float_of_int (find w 0 "delta").ck_words
-         < 0.10 *. float_of_int (find w 0 "full").ck_words
-      (* ...and refreshing every round must stay cheaper than deep
-         copies at the same cadence. *)
-      && (find w 1 "delta").ck_words < (find w 1 "full").ck_words)
-    [ "matmul"; "stencil3d" ]
-
-let run_faults ~quick =
-  let rows = fault_rows ~quick () in
-  print_fault_rows rows;
-  let crows = ckpt_rows ~quick () in
-  print_ckpt_rows crows;
-  write_faults_json ~file:(json_file "BENCH_faults.json") rows crows;
-  let ok_ckpt = ckpt_asserts crows in
-  if not ok_ckpt then
-    print_endline
-      "E23 FAIL: delta checkpointing exceeded its O(writes) budget";
-  List.for_all (fun r -> r.ft_identical) rows
-  && List.for_all (fun r -> r.ck_identical) crows
-  && ok_ckpt
+  let rows =
+    List.concat_map
+      (fun (workload, size, coset) -> fault_rows ~workload ~size coset)
+      cosets
+  in
+  let ckpts =
+    List.map
+      (fun (workload, size, coset) -> ckpt_rows ~workload ~size coset)
+      cosets
+  in
+  let budget_ok = List.for_all fst ckpts and ckpt = List.concat_map snd ckpts in
+  {
+    tag = "fault-recovery";
+    header = [ ("procs", int procs); ("checkpoint_budget_ok", bool budget_ok) ];
+    groups = [ ("rows", rows); ("checkpoint_rows", ckpt) ];
+    row_key = [ "workload"; "size"; "kills"; "checkpoint_every"; "mode" ];
+    gated =
+      [ "crashed"; "rounds"; "replayed_blocks"; "redistributed_words";
+        "retries"; "makespan_ok_s"; "makespan_fault_s"; "overhead";
+        "identical"; "checkpoints"; "checkpoint_words";
+        "checkpoint_budget_ok" ];
+    ok = all_true "identical" rows && all_true "identical" ckpt && budget_ok;
+  }
 
 (* E17: observability overhead.  The instrumentation in Machine and
    Parexec is compiled in permanently and guarded by one
@@ -1307,193 +864,115 @@ let run_faults ~quick =
    2%.  A ring-sink run and a Chrome export are timed alongside to
    record what actually collecting and exporting a trace costs. *)
 
-type obs_row = {
-  ob_workload : string;
-  ob_size : int;
-  ob_null_a_s : float;
-  ob_null_b_s : float;
-  ob_overhead_pct : float;
-  ob_ring_s : float;
-  ob_events : int;
-  ob_dropped : int;
-  ob_export_s : float;
-  ob_export_bytes : int;
-  ob_pass : bool;
-}
-
-let obs_rows ~quick () =
-  let kernel name =
-    List.find
-      (fun k -> k.Cf_workloads.Workloads.name = name)
-      Cf_workloads.Workloads.all
+let obs_row ~workload ~size build psi_of =
+  let nest = build ~size in
+  let coset = Coset.make nest (psi_of nest) in
+  let run ~obs () =
+    ignore
+      (Parexec.execute_indexed ~validate:false ~domains:1
+         ~charge_distribution:true ~machine:(mesh_machine ~obs ()) ~placement
+         ~strategy:Strategy.Duplicate coset)
   in
-  let placement = Cf_exec.Parexec.cyclic ~nprocs:scale_procs in
-  let case ~workload ~size build psi_of =
-    let nest = build ~size in
-    let coset = Coset.make nest (psi_of nest) in
-    let run ~obs () =
-      let machine =
-        Cf_machine.Machine.create ~obs
-          (Cf_machine.Topology.mesh [| 4; 4 |])
-          Cf_machine.Cost.transputer
-      in
-      ignore
-        (Cf_exec.Parexec.execute_indexed ~validate:false ~domains:1
-           ~charge_distribution:true ~machine ~placement
-           ~strategy:Strategy.Duplicate coset)
-    in
-    (* Each timed sample repeats the run until it is long enough
-       (~100ms) for a sub-2% resolution; samples alternate A/B and
-       B/A order so clock drift cancels, and each side keeps its
-       minimum. *)
-    run ~obs:Cf_obs.Trace.null ();
-    let _, once = time (run ~obs:Cf_obs.Trace.null) in
-    let reps = max 1 (int_of_float (0.25 /. Float.max 1e-6 once)) in
-    let sample obs () =
-      time (fun () ->
-          for _ = 1 to reps do
-            run ~obs ()
-          done)
-      |> snd
-    in
-    let a = sample Cf_obs.Trace.null and b = sample Cf_obs.Trace.null in
-    let best_a = ref infinity and best_b = ref infinity in
-    let measure () =
-      let r_ab = ref [] and r_ba = ref [] in
-      Gc.compact ();
-      for i = 1 to 10 do
-        (* Back-to-back pairs in alternating order.  Within a pair the
-           second half runs on a warmer heap, so the raw ratio tb/ta is
-           (1+overhead)*(1+drift) when A runs first and
-           (1+overhead)/(1+drift) when B does; the geometric mean of
-           the two per-order medians cancels the drift term exactly. *)
-        let ab = i mod 2 = 0 in
-        let first, second = if ab then (a, b) else (b, a) in
-        Gc.major ();
-        let t1 = first () in
-        let t2 = second () in
-        let ta, tb = if ab then (t1, t2) else (t2, t1) in
-        let bucket = if ab then r_ab else r_ba in
-        bucket := (tb /. ta) :: !bucket;
-        best_a := Float.min !best_a (ta /. float_of_int reps);
-        best_b := Float.min !best_b (tb /. float_of_int reps)
-      done;
-      let median l =
-        let sorted = List.sort compare l in
-        let n = List.length sorted in
-        (List.nth sorted ((n - 1) / 2) +. List.nth sorted (n / 2)) /. 2.
-      in
-      (* Two independent robust estimators: the drift-cancelled median
-         ratio, and the ratio of per-side minima.  A and B execute
-         identical code, so the true difference is zero and any
-         positive reading is the noise floor — keep the smaller
-         bound. *)
-      let est = Float.sqrt (median !r_ab *. median !r_ba) in
-      let est_min = !best_b /. !best_a in
-      let pct r = 100. *. Float.abs (r -. 1.) in
-      Float.min (pct est) (pct est_min)
-    in
-    (* A sustained host-level shift (CPU migration, frequency change)
-       occasionally poisons a whole measurement; retry up to twice and
-       keep the tightest bound seen. *)
-    let overhead = ref (measure ()) in
-    let attempts = ref 1 in
-    while !overhead >= 2.0 && !attempts < 3 do
-      incr attempts;
-      overhead := Float.min !overhead (measure ())
+  (* Each timed sample repeats the run until it is long enough
+     (~100ms) for a sub-2% resolution; samples alternate A/B and
+     B/A order so clock drift cancels, and each side keeps its
+     minimum. *)
+  run ~obs:Cf_obs.Trace.null ();
+  let _, once = time (run ~obs:Cf_obs.Trace.null) in
+  let reps = max 1 (int_of_float (0.25 /. Float.max 1e-6 once)) in
+  let sample obs () =
+    time (fun () ->
+        for _ = 1 to reps do
+          run ~obs ()
+        done)
+    |> snd
+  in
+  let a = sample Cf_obs.Trace.null and b = sample Cf_obs.Trace.null in
+  let best_a = ref infinity and best_b = ref infinity in
+  let measure () =
+    let r_ab = ref [] and r_ba = ref [] in
+    Gc.compact ();
+    for i = 1 to 10 do
+      (* Back-to-back pairs in alternating order.  Within a pair the
+         second half runs on a warmer heap, so the raw ratio tb/ta is
+         (1+overhead)*(1+drift) when A runs first and
+         (1+overhead)/(1+drift) when B does; the geometric mean of
+         the two per-order medians cancels the drift term exactly. *)
+      let ab = i mod 2 = 0 in
+      let first, second = if ab then (a, b) else (b, a) in
+      Gc.major ();
+      let t1 = first () in
+      let t2 = second () in
+      let ta, tb = if ab then (t1, t2) else (t2, t1) in
+      let bucket = if ab then r_ab else r_ba in
+      bucket := (tb /. ta) :: !bucket;
+      best_a := Float.min !best_a (ta /. float_of_int reps);
+      best_b := Float.min !best_b (tb /. float_of_int reps)
     done;
-    let overhead_pct = !overhead in
-    let trace =
-      Cf_obs.Trace.make (Cf_obs.Trace.ring ~capacity:(1 lsl 18))
+    let median l =
+      let sorted = List.sort compare l in
+      let n = List.length sorted in
+      (List.nth sorted ((n - 1) / 2) +. List.nth sorted (n / 2)) /. 2.
     in
-    let _, ring_s = time (run ~obs:trace) in
-    let events = Cf_obs.Trace.events trace in
-    let chrome = ref "" in
-    let _, export_s = time (fun () -> chrome := Cf_obs.Trace.to_chrome events) in
-    {
-      ob_workload = workload;
-      ob_size = size;
-      ob_null_a_s = !best_a;
-      ob_null_b_s = !best_b;
-      ob_overhead_pct = overhead_pct;
-      ob_ring_s = ring_s;
-      ob_events = List.length events;
-      ob_dropped = Cf_obs.Trace.dropped trace;
-      ob_export_s = export_s;
-      ob_export_bytes = String.length !chrome;
-      ob_pass = overhead_pct < 2.0;
-    }
+    (* Two independent robust estimators: the drift-cancelled median
+       ratio, and the ratio of per-side minima.  A and B execute
+       identical code, so the true difference is zero and any
+       positive reading is the noise floor — keep the smaller
+       bound. *)
+    let est = Float.sqrt (median !r_ab *. median !r_ba) in
+    let est_min = !best_b /. !best_a in
+    let pct r = 100. *. Float.abs (r -. 1.) in
+    Float.min (pct est) (pct est_min)
   in
-  let matmul = kernel "matmul" and stencil = kernel "stencil3d" in
-  let diag3 =
-    Cf_linalg.Subspace.span 3 [ Cf_linalg.Vec.of_int_list [ 1; 1; 1 ] ]
+  (* A sustained host-level shift (CPU migration, frequency change)
+     occasionally poisons a whole measurement; retry up to twice and
+     keep the tightest bound seen. *)
+  let overhead = ref (measure ()) in
+  let attempts = ref 1 in
+  while !overhead >= 2.0 && !attempts < 3 do
+    incr attempts;
+    overhead := Float.min !overhead (measure ())
+  done;
+  let trace = Cf_obs.Trace.make (Cf_obs.Trace.ring ~capacity:(1 lsl 18)) in
+  let _, ring_s = time (run ~obs:trace) in
+  let events = Cf_obs.Trace.events trace in
+  let chrome, export_s = time (fun () -> Cf_obs.Trace.to_chrome events) in
+  J.Obj
+    [ ("workload", str workload); ("size", int size);
+      ("null_a_s", num !best_a); ("null_b_s", num !best_b);
+      ("null_overhead_pct", num !overhead); ("ring_s", num ring_s);
+      ("events", int (List.length events));
+      ("dropped", int (Cf_obs.Trace.dropped trace));
+      ("chrome_export_s", num export_s);
+      ("chrome_bytes", int (String.length chrome));
+      ("pass", bool (!overhead < 2.0)) ]
+
+let obs ~quick =
+  let rows =
+    [ obs_row ~workload:"matmul"
+        ~size:(if quick then 12 else 32)
+        W.matmul.W.build dup;
+      obs_row ~workload:"stencil3d"
+        ~size:(if quick then 8 else 24)
+        W.stencil_3d.W.build diag3 ]
   in
-  let msize = if quick then 12 else 32 in
-  let ssize = if quick then 8 else 24 in
-  [
-    case ~workload:"matmul" ~size:msize matmul.Cf_workloads.Workloads.build
-      (Strategy.partitioning_space Strategy.Duplicate);
-    case ~workload:"stencil3d" ~size:ssize stencil.Cf_workloads.Workloads.build
-      (fun _ -> diag3);
-  ]
-
-let print_obs_rows rows =
-  section "E17 - observability: null-sink overhead, ring sink, Chrome export";
-  Printf.printf "%-10s %5s %12s %12s %9s %10s %8s %8s %10s %10s %5s\n"
-    "workload" "size" "null-A(s)" "null-B(s)" "overhead" "ring(s)" "events"
-    "dropped" "export(s)" "bytes" "pass";
-  List.iter
-    (fun r ->
-      Printf.printf
-        "%-10s %5d %12.4f %12.4f %8.2f%% %10.4f %8d %8d %10.4f %10d %5b\n"
-        r.ob_workload r.ob_size r.ob_null_a_s r.ob_null_b_s r.ob_overhead_pct
-        r.ob_ring_s r.ob_events r.ob_dropped r.ob_export_s r.ob_export_bytes
-        r.ob_pass)
-    rows
-
-let write_obs_json ~file rows =
-  let row_json r =
-    Printf.sprintf
-      "    {\"workload\": \"%s\", \"size\": %d, \"null_a_s\": %.6f, \
-       \"null_b_s\": %.6f, \"null_overhead_pct\": %.4f, \"ring_s\": %.6f, \
-       \"events\": %d, \"dropped\": %d, \"chrome_export_s\": %.6f, \
-       \"chrome_bytes\": %d, \"pass\": %b}"
-      (json_escape r.ob_workload) r.ob_size r.ob_null_a_s r.ob_null_b_s
-      r.ob_overhead_pct r.ob_ring_s r.ob_events r.ob_dropped r.ob_export_s
-      r.ob_export_bytes r.ob_pass
-  in
-  let oc = open_out file in
-  Printf.fprintf oc
-    "{\n  \"bench\": \"observability\",\n  \"procs\": %d,\n  \"rows\": [\n%s\n  ]\n}\n"
-    scale_procs
-    (String.concat ",\n" (List.map row_json rows));
-  close_out oc;
-  Printf.printf "wrote %s\n%!" file
-
-let run_obs ~quick =
-  let rows = obs_rows ~quick () in
-  print_obs_rows rows;
-  write_obs_json ~file:(json_file "BENCH_obs.json") rows;
-  List.for_all (fun r -> r.ob_pass) rows
+  {
+    tag = "observability";
+    header = [ ("procs", int procs) ];
+    groups = [ ("rows", rows) ];
+    row_key = [ "workload"; "size" ];
+    gated = [ "events"; "dropped"; "chrome_bytes" ];
+    ok = all_true "pass" rows;
+  }
 
 (* E18: differential fuzzing throughput.  One row per oracle plus the
    combined all-oracle configuration, over the same seeded mixed-depth
    case stream the test suite and CI smoke use; pass means zero
    surviving counterexamples. *)
 
-type check_row = {
-  ck_oracle : string;
-  ck_cases : int;
-  ck_checks : int;
-  ck_skips : int;
-  ck_s : float;
-  ck_cases_per_s : float;
-  ck_pass : bool;
-}
-
-let check_rows ~quick () =
+let check ~quick =
   let count = if quick then 60 else 300 in
-  let measure label oracles =
+  let row label oracles =
     let config =
       {
         Cf_check.Fuzz.seed = 42;
@@ -1506,49 +985,59 @@ let check_rows ~quick () =
       }
     in
     let stats, s = time2 (fun () -> Cf_check.Fuzz.run config) in
-    {
-      ck_oracle = label;
-      ck_cases = stats.Cf_check.Fuzz.cases;
-      ck_checks = stats.Cf_check.Fuzz.checks;
-      ck_skips = stats.Cf_check.Fuzz.skips;
-      ck_s = s;
-      ck_cases_per_s = float_of_int stats.Cf_check.Fuzz.cases /. Float.max s 1e-9;
-      ck_pass = stats.Cf_check.Fuzz.failures = [];
-    }
+    let cases = stats.Cf_check.Fuzz.cases in
+    J.Obj
+      [ ("oracle", str label); ("cases", int cases);
+        ("checks", int stats.Cf_check.Fuzz.checks);
+        ("skips", int stats.Cf_check.Fuzz.skips); ("t_s", num s);
+        ("cases_per_s", num (float_of_int cases /. Float.max s 1e-9));
+        ("pass", bool (stats.Cf_check.Fuzz.failures = [])) ]
   in
-  List.map (fun o -> measure o.Cf_check.Oracle.name [ o ]) Cf_check.Oracle.all
-  @ [ measure "all" Cf_check.Oracle.all ]
-
-let print_check_rows rows =
-  section "E18 - differential fuzzing: cases/sec per oracle";
-  Printf.printf "%-26s %6s %7s %6s %9s %10s %5s\n" "oracle" "cases" "checks"
-    "skips" "t(s)" "cases/s" "pass";
-  List.iter
-    (fun r ->
-      Printf.printf "%-26s %6d %7d %6d %9.3f %10.0f %5b\n" r.ck_oracle
-        r.ck_cases r.ck_checks r.ck_skips r.ck_s r.ck_cases_per_s r.ck_pass)
-    rows
-
-let write_check_json ~file rows =
-  let row_json r =
-    Printf.sprintf
-      "    {\"oracle\": \"%s\", \"cases\": %d, \"checks\": %d, \
-       \"skips\": %d, \"t_s\": %.6f, \"cases_per_s\": %.1f, \"pass\": %b}"
-      (json_escape r.ck_oracle) r.ck_cases r.ck_checks r.ck_skips r.ck_s
-      r.ck_cases_per_s r.ck_pass
+  let rows =
+    List.map (fun o -> row o.Cf_check.Oracle.name [ o ]) Cf_check.Oracle.all
+    @ [ row "all" Cf_check.Oracle.all ]
   in
-  let oc = open_out file in
-  Printf.fprintf oc
-    "{\n  \"bench\": \"check\",\n  \"seed\": 42,\n  \"rows\": [\n%s\n  ]\n}\n"
-    (String.concat ",\n" (List.map row_json rows));
-  close_out oc;
-  Printf.printf "wrote %s\n%!" file
+  {
+    tag = "check";
+    header = [ ("seed", int 42) ];
+    groups = [ ("rows", rows) ];
+    row_key = [ "oracle" ];
+    gated = [ "cases"; "checks"; "skips"; "pass" ];
+    ok = all_true "pass" rows;
+  }
 
-let run_check ~quick =
-  let rows = check_rows ~quick () in
-  print_check_rows rows;
-  write_check_json ~file:(json_file "BENCH_check.json") rows;
-  List.for_all (fun r -> r.ck_pass) rows
+(* The fuzzer's seeded mixed-depth case stream, replayed by E20 and
+   E22: case i is [generate ~index:i ~seed:42] at depth 1 + i mod 3.
+   [measure] returns one count per key for a case; the result has one
+   (label, summed counts, seconds) per depth plus the aggregate "all". *)
+let depth_sweep ~count
+    ~(generate : ?index:int -> seed:int -> Cf_check.Gen.params -> Nest.t) ~keys
+    measure =
+  let sums = Array.make_matrix 4 (List.length keys) 0 in
+  let secs = Array.make 4 0. in
+  for case = 0 to count - 1 do
+    let depth = 1 + (case mod 3) in
+    let nest = generate ~index:case ~seed:42 (Cf_check.Gen.default ~depth) in
+    let counts, s = time (fun () -> measure nest) in
+    List.iter
+      (fun d ->
+        Array.iteri (fun i c -> sums.(d).(i) <- sums.(d).(i) + c) counts;
+        secs.(d) <- secs.(d) +. s)
+      [ depth; 0 ]
+  done;
+  List.map
+    (fun d ->
+      ( (if d = 0 then "all" else Printf.sprintf "depth-%d" d),
+        List.combine keys (Array.to_list sums.(d)),
+        secs.(d) ))
+    [ 1; 2; 3; 0 ]
+
+(* A sweep row: the depth label and counts, then the fraction under
+   [frac_key], the seconds and the pass verdict. *)
+let sweep_row ~frac_key ~pass (label, counts, t) frac =
+  J.Obj
+    ((("depth", str label) :: List.map (fun (k, c) -> (k, int c)) counts)
+    @ [ (frac_key, num frac); ("t_s", num t); ("pass", bool pass) ])
 
 (* E20: communication-minimal fallback planning.  Replays the fuzzer's
    seeded mixed-depth case stream, keeps the nests the theorems reject
@@ -1561,148 +1050,68 @@ let run_check ~quick =
    volume.  Pass needs every servable run exact, and (aggregate row)
    >= 80% of rejected nests servable. *)
 
-type mincomm_row = {
-  mm_label : string;
-  mm_cases : int;
-  mm_rejected : int;
-  mm_servable : int;
-  mm_exact : int;
-  mm_predicted : int;  (* total predicted messages over rejected nests *)
-  mm_serviced : int;  (* total serviced messages actually simulated *)
-  mm_frac : float;  (* servable / rejected, 1.0 when nothing rejected *)
-  mm_s : float;
-  mm_pass : bool;
-}
-
 let mincomm_nprocs = 3
 
-let mincomm_rows ~quick () =
-  let count = if quick then 60 else 200 in
-  let seed = 42 in
-  let cases = Array.make 4 0
-  and rejected = Array.make 4 0
-  and servable = Array.make 4 0
-  and exact = Array.make 4 0
-  and predicted = Array.make 4 0
-  and serviced = Array.make 4 0
-  and seconds = Array.make 4 0. in
-  for case = 0 to count - 1 do
-    let depth = 1 + (case mod 3) in
-    let nest =
-      Cf_check.Gen.generate ~seed ~index:case (Cf_check.Gen.default ~depth)
+let mincomm ~quick =
+  let module M = Cf_mincomm.Mincomm in
+  (* cases, rejected, servable, exact, predicted and serviced messages *)
+  let measure nest =
+    let skip = [| 1; 0; 0; 0; 0; 0 |] in
+    if
+      not
+        (Nest.cardinal nest > 0
+        && Cf_exec.Compile.max_rank (Cf_exec.Compile.make nest) <= 7)
+    then skip
+    else
+      let mc = M.plan ~nprocs:mincomm_nprocs nest in
+      if mc.M.comm_free then skip
+      else begin
+        let predicted = mc.M.estimate.M.messages in
+        let machine =
+          Machine.create ~comm_mode:`Service
+            (Cf_machine.Topology.linear mincomm_nprocs)
+            Cf_machine.Cost.transputer
+        in
+        let report =
+          Parexec.execute_fallback ~backend:`Compiled ~machine
+            ~placement:(Parexec.cyclic ~nprocs:mincomm_nprocs)
+            mc.M.partition
+        in
+        let serviced = Machine.serviced_messages machine in
+        let servable = M.servable mc && Parexec.ok report in
+        [| 1; 1; Bool.to_int servable;
+           Bool.to_int (servable && serviced = predicted); predicted;
+           serviced |]
+      end
+  in
+  let row ((label, counts, _) as r) =
+    let c k = List.assoc k counts in
+    let frac =
+      if c "rejected" = 0 then 1.0
+      else float_of_int (c "servable") /. float_of_int (c "rejected")
     in
-    let (), s =
-      time (fun () ->
-          cases.(depth) <- cases.(depth) + 1;
-          if
-            Nest.cardinal nest > 0
-            && Cf_exec.Compile.max_rank (Cf_exec.Compile.make nest) <= 7
-          then begin
-            let mc = Cf_mincomm.Mincomm.plan ~nprocs:mincomm_nprocs nest in
-            if not mc.Cf_mincomm.Mincomm.comm_free then begin
-              rejected.(depth) <- rejected.(depth) + 1;
-              let p =
-                mc.Cf_mincomm.Mincomm.estimate.Cf_mincomm.Mincomm.messages
-              in
-              predicted.(depth) <- predicted.(depth) + p;
-              let machine =
-                Cf_machine.Machine.create ~comm_mode:`Service
-                  (Cf_machine.Topology.linear mincomm_nprocs)
-                  Cf_machine.Cost.transputer
-              in
-              let report =
-                Cf_exec.Parexec.execute_fallback ~backend:`Compiled ~machine
-                  ~placement:(Cf_exec.Parexec.cyclic ~nprocs:mincomm_nprocs)
-                  mc.Cf_mincomm.Mincomm.partition
-              in
-              let sv = Cf_machine.Machine.serviced_messages machine in
-              serviced.(depth) <- serviced.(depth) + sv;
-              if Cf_mincomm.Mincomm.servable mc && Cf_exec.Parexec.ok report
-              then begin
-                servable.(depth) <- servable.(depth) + 1;
-                if sv = p then exact.(depth) <- exact.(depth) + 1
-              end
-            end
-          end)
-    in
-    seconds.(depth) <- seconds.(depth) +. s
-  done;
-  let row label c r sv ex p s t ~aggregate =
-    let frac = if r = 0 then 1.0 else float_of_int sv /. float_of_int r in
-    {
-      mm_label = label;
-      mm_cases = c;
-      mm_rejected = r;
-      mm_servable = sv;
-      mm_exact = ex;
-      mm_predicted = p;
-      mm_serviced = s;
-      mm_frac = frac;
-      mm_s = t;
-      mm_pass = ex = sv && ((not aggregate) || frac >= 0.8);
-    }
+    sweep_row ~frac_key:"servable_frac" r frac
+      ~pass:(c "exact" = c "servable" && (label <> "all" || frac >= 0.8))
   in
-  let depth_rows =
-    List.map
-      (fun d ->
-        row
-          (Printf.sprintf "depth-%d" d)
-          cases.(d) rejected.(d) servable.(d) exact.(d) predicted.(d)
-          serviced.(d) seconds.(d) ~aggregate:false)
-      [ 1; 2; 3 ]
+  let rows =
+    List.map row
+      (depth_sweep ~count:(if quick then 60 else 200)
+         ~generate:Cf_check.Gen.generate
+         ~keys:
+           [ "cases"; "rejected"; "servable"; "exact"; "predicted_msgs";
+             "serviced_msgs" ]
+         measure)
   in
-  let sum a = a.(1) + a.(2) + a.(3) in
-  depth_rows
-  @ [
-      row "all" (sum cases) (sum rejected) (sum servable) (sum exact)
-        (sum predicted) (sum serviced)
-        (seconds.(1) +. seconds.(2) +. seconds.(3))
-        ~aggregate:true;
-    ]
-
-let print_mincomm_rows rows =
-  section
-    "E20 - communication-minimal fallback: servable fraction, volume \
-     prediction";
-  Printf.printf "%-8s %6s %9s %9s %6s %10s %9s %6s %8s %5s\n" "depth" "cases"
-    "rejected" "servable" "exact" "predicted" "serviced" "frac" "t(s)" "pass";
-  List.iter
-    (fun r ->
-      Printf.printf "%-8s %6d %9d %9d %6d %10d %9d %6.2f %8.3f %5b\n"
-        r.mm_label r.mm_cases r.mm_rejected r.mm_servable r.mm_exact
-        r.mm_predicted r.mm_serviced r.mm_frac r.mm_s r.mm_pass)
-    rows
-
-let write_mincomm_json ~file rows =
-  let row_json r =
-    Printf.sprintf
-      "    {\"depth\": \"%s\", \"cases\": %d, \"rejected\": %d, \
-       \"servable\": %d, \"exact\": %d, \"predicted_msgs\": %d, \
-       \"serviced_msgs\": %d, \"servable_frac\": %.4f, \"t_s\": %.6f, \
-       \"pass\": %b}"
-      (json_escape r.mm_label) r.mm_cases r.mm_rejected r.mm_servable
-      r.mm_exact r.mm_predicted r.mm_serviced r.mm_frac r.mm_s r.mm_pass
-  in
-  let oc = open_out file in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"mincomm\",\n\
-    \  \"seed\": 42,\n\
-    \  \"nprocs\": %d,\n\
-    \  \"rows\": [\n\
-     %s\n\
-    \  ]\n\
-     }\n"
-    mincomm_nprocs
-    (String.concat ",\n" (List.map row_json rows));
-  close_out oc;
-  Printf.printf "wrote %s\n%!" file
-
-let run_mincomm ~quick =
-  let rows = mincomm_rows ~quick () in
-  print_mincomm_rows rows;
-  write_mincomm_json ~file:(json_file "BENCH_mincomm.json") rows;
-  List.for_all (fun r -> r.mm_pass) rows
+  {
+    tag = "mincomm";
+    header = [ ("seed", int 42); ("nprocs", int mincomm_nprocs) ];
+    groups = [ ("rows", rows) ];
+    row_key = [ "depth" ];
+    gated =
+      [ "cases"; "rejected"; "servable"; "exact"; "predicted_msgs";
+        "serviced_msgs"; "servable_frac"; "pass" ];
+    ok = all_true "pass" rows;
+  }
 
 (* E22: the normalization front door.  Replays the unnormalized
    generator's seeded stream (skewed reads, unrolled bodies, stretched
@@ -1714,144 +1123,58 @@ let run_mincomm ~quick =
    (aggregate row) >= 60% of nests reaching a plan via the front
    door. *)
 
-type normalize_row = {
-  nz_label : string;
-  nz_cases : int;
-  nz_folds : int;
-  nz_hoists : int;
-  nz_compress : int;
-  nz_shifts : int;
-  nz_witness_fail : int;
-  nz_raw_planned : int;  (* plans without normalization *)
-  nz_planned : int;  (* plans through the front door *)
-  nz_frac : float;  (* planned / cases *)
-  nz_s : float;
-  nz_pass : bool;
-}
-
-let normalize_rows ~quick () =
-  let count = if quick then 60 else 200 in
-  let seed = 42 in
-  let cases = Array.make 4 0
-  and folds = Array.make 4 0
-  and hoists = Array.make 4 0
-  and compresses = Array.make 4 0
-  and shifts = Array.make 4 0
-  and witness_fail = Array.make 4 0
-  and raw_planned = Array.make 4 0
-  and planned = Array.make 4 0
-  and seconds = Array.make 4 0. in
-  for case = 0 to count - 1 do
-    let depth = 1 + (case mod 3) in
-    let nest =
-      Cf_check.Gen.generate_unnormalized ~seed ~index:case
-        (Cf_check.Gen.default ~depth)
+let normalize ~quick =
+  let measure nest =
+    let r = Cf_normalize.Normalize.normalize nest in
+    let steps =
+      List.map Cf_normalize.Witness.step_name r.Cf_normalize.Normalize.steps
     in
-    let (), s =
-      time (fun () ->
-          cases.(depth) <- cases.(depth) + 1;
-          let r = Cf_normalize.Normalize.normalize nest in
-          List.iter
-            (fun step ->
-              let bump a = a.(depth) <- a.(depth) + 1 in
-              match Cf_normalize.Witness.step_name step with
-              | "fold" -> bump folds
-              | "hoist" -> bump hoists
-              | "compress" -> bump compresses
-              | _ -> bump shifts)
-            r.Cf_normalize.Normalize.steps;
-          (match Cf_normalize.Normalize.check r with
-          | Ok () -> ()
-          | Error _ -> witness_fail.(depth) <- witness_fail.(depth) + 1);
-          (match Cf_pipeline.Pipeline.plan_serve nest with
-          | _ -> raw_planned.(depth) <- raw_planned.(depth) + 1
-          | exception Invalid_argument _ -> ());
-          match Cf_pipeline.Pipeline.plan_normalized nest with
-          | Ok _ -> planned.(depth) <- planned.(depth) + 1
-          | Error _ -> ())
+    let count name = List.length (List.filter (String.equal name) steps) in
+    let folds = count "fold" and hoists = count "hoist" in
+    let compressions = count "compress" in
+    let witness_failures =
+      match Cf_normalize.Normalize.check r with Ok () -> 0 | Error _ -> 1
     in
-    seconds.(depth) <- seconds.(depth) +. s
-  done;
-  let row label c f h cp sh wf rp p t ~aggregate =
-    let frac = if c = 0 then 1.0 else float_of_int p /. float_of_int c in
-    {
-      nz_label = label;
-      nz_cases = c;
-      nz_folds = f;
-      nz_hoists = h;
-      nz_compress = cp;
-      nz_shifts = sh;
-      nz_witness_fail = wf;
-      nz_raw_planned = rp;
-      nz_planned = p;
-      nz_frac = frac;
-      nz_s = t;
-      nz_pass = wf = 0 && ((not aggregate) || frac >= 0.6);
-    }
+    let raw_planned =
+      match Cf_pipeline.Pipeline.plan_serve nest with
+      | _ -> 1
+      | exception Invalid_argument _ -> 0
+    in
+    let planned =
+      match Cf_pipeline.Pipeline.plan_normalized nest with
+      | Ok _ -> 1
+      | Error _ -> 0
+    in
+    [| 1; folds; hoists; compressions;
+       List.length steps - folds - hoists - compressions; witness_failures;
+       raw_planned; planned |]
   in
-  let depth_rows =
-    List.map
-      (fun d ->
-        row
-          (Printf.sprintf "depth-%d" d)
-          cases.(d) folds.(d) hoists.(d) compresses.(d) shifts.(d)
-          witness_fail.(d) raw_planned.(d) planned.(d) seconds.(d)
-          ~aggregate:false)
-      [ 1; 2; 3 ]
+  let row ((label, counts, _) as r) =
+    let c k = List.assoc k counts in
+    let frac =
+      if c "cases" = 0 then 1.0
+      else float_of_int (c "planned") /. float_of_int (c "cases")
+    in
+    sweep_row ~frac_key:"planned_frac" r frac
+      ~pass:(c "witness_failures" = 0 && (label <> "all" || frac >= 0.6))
   in
-  let sum a = a.(1) + a.(2) + a.(3) in
-  depth_rows
-  @ [
-      row "all" (sum cases) (sum folds) (sum hoists) (sum compresses)
-        (sum shifts) (sum witness_fail) (sum raw_planned) (sum planned)
-        (seconds.(1) +. seconds.(2) +. seconds.(3))
-        ~aggregate:true;
-    ]
-
-let print_normalize_rows rows =
-  section
-    "E22 - normalization front door: witnessed transforms, reach-a-plan \
-     fraction";
-  Printf.printf "%-8s %6s %6s %6s %9s %7s %8s %8s %8s %6s %8s %5s\n" "depth"
-    "cases" "folds" "hoists" "compress" "shifts" "wit-fail" "raw-plan"
-    "planned" "frac" "t(s)" "pass";
-  List.iter
-    (fun r ->
-      Printf.printf "%-8s %6d %6d %6d %9d %7d %8d %8d %8d %6.2f %8.3f %5b\n"
-        r.nz_label r.nz_cases r.nz_folds r.nz_hoists r.nz_compress r.nz_shifts
-        r.nz_witness_fail r.nz_raw_planned r.nz_planned r.nz_frac r.nz_s
-        r.nz_pass)
-    rows
-
-let write_normalize_json ~file rows =
-  let row_json r =
-    Printf.sprintf
-      "    {\"depth\": \"%s\", \"cases\": %d, \"folds\": %d, \
-       \"hoists\": %d, \"compressions\": %d, \"shifts\": %d, \
-       \"witness_failures\": %d, \"raw_planned\": %d, \"planned\": %d, \
-       \"planned_frac\": %.4f, \"t_s\": %.6f, \"pass\": %b}"
-      (json_escape r.nz_label) r.nz_cases r.nz_folds r.nz_hoists r.nz_compress
-      r.nz_shifts r.nz_witness_fail r.nz_raw_planned r.nz_planned r.nz_frac
-      r.nz_s r.nz_pass
+  let keys =
+    [ "cases"; "folds"; "hoists"; "compressions"; "shifts";
+      "witness_failures"; "raw_planned"; "planned" ]
   in
-  let oc = open_out file in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"normalize\",\n\
-    \  \"seed\": 42,\n\
-    \  \"rows\": [\n\
-     %s\n\
-    \  ]\n\
-     }\n"
-    (String.concat ",\n" (List.map row_json rows));
-  close_out oc;
-  Printf.printf "wrote %s\n%!" file
-
-let run_normalize ~quick =
-  let rows = normalize_rows ~quick () in
-  print_normalize_rows rows;
-  write_normalize_json ~file:(json_file "BENCH_normalize.json") rows;
-  List.for_all (fun r -> r.nz_pass) rows
+  let rows =
+    List.map row
+      (depth_sweep ~count:(if quick then 60 else 200)
+         ~generate:Cf_check.Gen.generate_unnormalized ~keys measure)
+  in
+  {
+    tag = "normalize";
+    header = [ ("seed", int 42) ];
+    groups = [ ("rows", rows) ];
+    row_key = [ "depth" ];
+    gated = keys @ [ "planned_frac"; "pass" ];
+    ok = all_true "pass" rows;
+  }
 
 (* E21: the planning server end to end — framed JSON over a Unix
    socket, admission control, load shedding.  Three phases: a soak of
@@ -1865,22 +1188,8 @@ let run_normalize ~quick =
    Full mode soaks 1M requests; quick mode keeps the same shape at
    CI-friendly sizes. *)
 
-type server_phase = {
-  sp_phase : string;
-  sp_tenant : string;
-  sp_clients : int;
-  sp_sent : int;
-  sp_ok : int;
-  sp_rejected : int;
-  sp_rate_limited : int;
-  sp_failed : int;
-  sp_elapsed : float;
-  sp_throughput : float;
-  sp_p50 : float;
-  sp_p99 : float;
-}
-
-type server_client_result = {
+(* One client connection's tally. *)
+type client_result = {
   dr_sent : int;
   dr_ok : int;
   dr_rejected : int;
@@ -1888,6 +1197,16 @@ type server_client_result = {
   dr_failed : int;
   dr_lat : float list;  (* latencies of ok requests, seconds *)
 }
+
+let lost n =
+  {
+    dr_sent = n;
+    dr_ok = 0;
+    dr_rejected = 0;
+    dr_rate_limited = 0;
+    dr_failed = n;
+    dr_lat = [];
+  }
 
 let server_src nest = Format.asprintf "@[<v>%a@]" Cf_loop.Nest.pp nest
 
@@ -1910,15 +1229,7 @@ let server_drive_client ?(reject_backoff = 0.) ~socket ~tenant ~requests srcs
   let module C = Cf_server.Client in
   let module P = Cf_server.Protocol in
   match C.connect_unix ~tenant socket with
-  | Error _ ->
-    {
-      dr_sent = requests;
-      dr_ok = 0;
-      dr_rejected = 0;
-      dr_rate_limited = 0;
-      dr_failed = requests;
-      dr_lat = [];
-    }
+  | Error _ -> lost requests
   | Ok c ->
     let srcs = Array.of_list srcs in
     let n = Array.length srcs in
@@ -1958,112 +1269,46 @@ let server_drive_client ?(reject_backoff = 0.) ~socket ~tenant ~requests srcs
    per-client results tagged with the tenant, plus the wall-clock of
    the whole volley. *)
 let server_load ?reject_backoff ~socket ~per_client specs =
-  let specs = Array.of_list specs in
-  let results = Array.map (fun (tenant, _) -> (tenant, None)) specs in
   let t0 = Unix.gettimeofday () in
-  let threads =
-    Array.to_list
-      (Array.mapi
-         (fun i (tenant, srcs) ->
-           Thread.create
-             (fun () ->
-               let r =
-                 try
-                   server_drive_client ?reject_backoff ~socket ~tenant
-                     ~requests:per_client srcs
-                 with _ ->
-                   {
-                     dr_sent = per_client;
-                     dr_ok = 0;
-                     dr_rejected = 0;
-                     dr_rate_limited = 0;
-                     dr_failed = per_client;
-                     dr_lat = [];
-                   }
-               in
-               results.(i) <- (tenant, Some r))
-             ())
-         specs)
+  let clients =
+    List.map
+      (fun (tenant, srcs) ->
+        let result = ref (lost per_client) in
+        let drive () =
+          try
+            result :=
+              server_drive_client ?reject_backoff ~socket ~tenant
+                ~requests:per_client srcs
+          with _ -> ()
+        in
+        (tenant, result, Thread.create drive ()))
+      specs
   in
-  List.iter Thread.join threads;
-  let elapsed = Unix.gettimeofday () -. t0 in
-  ( Array.to_list results
-    |> List.filter_map (fun (t, r) -> Option.map (fun r -> (t, r)) r),
-    elapsed )
+  List.iter (fun (_, _, th) -> Thread.join th) clients;
+  ( List.map (fun (tenant, result, _) -> (tenant, !result)) clients,
+    Unix.gettimeofday () -. t0 )
 
-let server_phase_of ~phase ~tenant ~elapsed trs =
+let server_phase ~phase ~tenant ~elapsed results =
   let rs =
-    List.filter_map (fun (t, r) -> if t = tenant then Some r else None) trs
+    List.filter_map (fun (t, r) -> if t = tenant then Some r else None) results
   in
   let sum f = List.fold_left (fun a r -> a + f r) 0 rs in
   let lats = List.concat_map (fun r -> r.dr_lat) rs in
   let ok = sum (fun r -> r.dr_ok) in
-  {
-    sp_phase = phase;
-    sp_tenant = tenant;
-    sp_clients = List.length rs;
-    sp_sent = sum (fun r -> r.dr_sent);
-    sp_ok = ok;
-    sp_rejected = sum (fun r -> r.dr_rejected);
-    sp_rate_limited = sum (fun r -> r.dr_rate_limited);
-    sp_failed = sum (fun r -> r.dr_failed);
-    sp_elapsed = elapsed;
-    sp_throughput = float_of_int ok /. elapsed;
-    sp_p50 = server_pctl lats 0.5;
-    sp_p99 = server_pctl lats 0.99;
-  }
+  J.Obj
+    [ ("phase", str phase); ("tenant", str tenant);
+      ("clients", int (List.length rs));
+      ("sent", int (sum (fun r -> r.dr_sent)));
+      ("ok", int ok); ("rejected", int (sum (fun r -> r.dr_rejected)));
+      ("rate_limited", int (sum (fun r -> r.dr_rate_limited)));
+      ("failed", int (sum (fun r -> r.dr_failed))); ("elapsed_s", num elapsed);
+      ("throughput_per_s", num (float_of_int ok /. elapsed));
+      ("p50_s", num (server_pctl lats 0.5));
+      ("p99_s", num (server_pctl lats 0.99)) ]
 
-let server_ok_lats trs = List.concat_map (fun (_, r) -> r.dr_lat) trs
-
-let print_server_phases rows =
-  Printf.printf "%-10s %-9s %-8s %-8s %-8s %-9s %-6s %-10s %-10s %-10s\n"
-    "phase" "tenant" "clients" "sent" "ok" "rejected" "fail" "req/s"
-    "p50(ms)" "p99(ms)";
-  List.iter
-    (fun p ->
-      Printf.printf
-        "%-10s %-9s %-8d %-8d %-8d %-9d %-6d %-10.1f %-10.3f %-10.3f\n"
-        p.sp_phase p.sp_tenant p.sp_clients p.sp_sent p.sp_ok p.sp_rejected
-        p.sp_failed p.sp_throughput (1e3 *. p.sp_p50) (1e3 *. p.sp_p99))
-    rows
-
-let write_server_json ~quick ~file ~phases ~domains ~capacity
-    ~overload_clients ~unloaded_p99 ~loaded_p99 ~p99_budget ~shed_ok
-    ~latency_ok =
-  let row_json p =
-    Printf.sprintf
-      "    {\"phase\": \"%s\", \"tenant\": \"%s\", \"clients\": %d, \
-       \"sent\": %d, \"ok\": %d, \"rejected\": %d, \"rate_limited\": %d, \
-       \"failed\": %d, \"elapsed_s\": %.6f, \"throughput_per_s\": %.1f, \
-       \"p50_s\": %.6f, \"p99_s\": %.6f}"
-      p.sp_phase p.sp_tenant p.sp_clients p.sp_sent p.sp_ok p.sp_rejected
-      p.sp_rate_limited p.sp_failed p.sp_elapsed p.sp_throughput p.sp_p50
-      p.sp_p99
-  in
-  let oc = open_out file in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"planning-server\",\n\
-    \  \"quick\": %b,\n\
-    \  \"domains\": %d,\n\
-    \  \"admit_capacity\": %d,\n\
-    \  \"overload_clients\": %d,\n\
-    \  \"unloaded_p99_s\": %.6f,\n\
-    \  \"overload_accepted_p99_s\": %.6f,\n\
-    \  \"p99_budget_s\": %.6f,\n\
-    \  \"shed_ok\": %b,\n\
-    \  \"latency_ok\": %b,\n\
-    \  \"phases\": [\n%s\n  ]\n}\n"
-    quick domains capacity overload_clients unloaded_p99 loaded_p99 p99_budget
-    shed_ok latency_ok
-    (String.concat ",\n" (List.map row_json phases));
-  close_out oc;
-  Printf.printf "wrote %s\n%!" file
-
-let run_server ~quick =
+let server ~quick =
   let module Server = Cf_server.Server in
   let module Admission = Cf_server.Admission in
-  section "E21 - planning server: soak, overload, load-shedding";
   let sock =
     Filename.concat
       (Filename.get_temp_dir_name ())
@@ -2073,7 +1318,7 @@ let run_server ~quick =
      loops repeated, so after the first round every plan is a warm
      cache hit; the numbers measure framing, dispatch and cache lookup,
      not planning. *)
-  let domains = max 1 (min 2 (Domain.recommended_domain_count ())) in
+  let domains = max 1 (min 2 domains_available) in
   let soak_clients = if quick then 4 else 8 in
   let soak_total = if quick then 2_000 else 1_000_000 in
   let soak_srcs = List.map server_src [ l1; l2; l3; l4 ] in
@@ -2086,15 +1331,15 @@ let run_server ~quick =
         admit_capacity = 64;
       }
   in
-  let soak_trs, soak_elapsed =
+  let soak_results, soak_elapsed =
     server_load ~socket:sock
       ~per_client:(soak_total / soak_clients)
       (List.init soak_clients (fun _ -> ("default", soak_srcs)))
   in
   Server.stop srv;
   let soak =
-    server_phase_of ~phase:"soak" ~tenant:"default" ~elapsed:soak_elapsed
-      soak_trs
+    server_phase ~phase:"soak" ~tenant:"default" ~elapsed:soak_elapsed
+      soak_results
   in
   (* Phases 2 and 3 run with the cache off so every accepted request
      pays for a real plan, against a small admission capacity so
@@ -2119,157 +1364,207 @@ let run_server ~quick =
         admit_capacity = capacity;
         shed_start = 0.4;
         tenants =
-          [ tenant_of_spec "gold:priority=9"; tenant_of_spec "bronze:priority=1" ];
+          [ tenant_of_spec "gold:priority=9";
+            tenant_of_spec "bronze:priority=1" ];
       }
   in
   (* A ~10ms plan: heavy enough that per-request scheduling noise is a
      small fraction of the latency being asserted on. *)
   let work_srcs = [ server_src (Cf_exec.Matmul.nest ~m:12) ] in
   (* Phase 2: unloaded baseline — one sequential gold client. *)
-  let unl_trs, unl_elapsed =
+  let unl_results, unl_elapsed =
     server_load ~socket:sock
       ~per_client:(if quick then 120 else 500)
       [ ("gold", work_srcs) ]
   in
   let unloaded =
-    server_phase_of ~phase:"unloaded" ~tenant:"gold" ~elapsed:unl_elapsed
-      unl_trs
+    server_phase ~phase:"unloaded" ~tenant:"gold" ~elapsed:unl_elapsed
+      unl_results
   in
   (* Phase 3: 4x-capacity overload, half gold half bronze. *)
   let overload_clients = 4 * capacity in
-  let over_trs, over_elapsed =
+  let over_results, over_elapsed =
     server_load ~socket:sock ~reject_backoff:0.005
       ~per_client:(if quick then 60 else 250)
       (List.init overload_clients (fun i ->
            ((if i mod 2 = 0 then "gold" else "bronze"), work_srcs)))
   in
   Server.stop srv;
-  let gold =
-    server_phase_of ~phase:"overload" ~tenant:"gold" ~elapsed:over_elapsed
-      over_trs
+  let overload tenant =
+    server_phase ~phase:"overload" ~tenant ~elapsed:over_elapsed over_results
   in
-  let bronze =
-    server_phase_of ~phase:"overload" ~tenant:"bronze" ~elapsed:over_elapsed
-      over_trs
+  let gold = overload "gold" and bronze = overload "bronze" in
+  let unloaded_p99 = field "p99_s" unloaded in
+  let loaded_p99 =
+    server_pctl (List.concat_map (fun (_, r) -> r.dr_lat) over_results) 0.99
   in
-  let unloaded_p99 = unloaded.sp_p99 in
-  let loaded_p99 = server_pctl (server_ok_lats over_trs) 0.99 in
   let p99_budget = 3. *. Float.max unloaded_p99 0.001 in
-  let shed_ok = bronze.sp_rejected > 0 in
+  let soak_ok =
+    field "failed" soak = 0. && field "ok" soak = field "sent" soak
+  in
+  let shed_ok = field "rejected" bronze > 0. in
   let latency_ok = loaded_p99 <= p99_budget in
-  let soak_ok = soak.sp_failed = 0 && soak.sp_ok = soak.sp_sent in
-  let phases = [ soak; unloaded; gold; bronze ] in
-  print_server_phases phases;
-  Printf.printf
-    "unloaded p99 %.3fms, overload accepted p99 %.3fms (budget %.3fms)\n"
-    (1e3 *. unloaded_p99) (1e3 *. loaded_p99) (1e3 *. p99_budget);
-  Printf.printf "soak completed: %b; bronze shed under overload: %b (%d)\n"
-    soak_ok shed_ok bronze.sp_rejected;
-  Printf.printf "accepted p99 within budget: %b\n%!" latency_ok;
-  write_server_json ~quick
-    ~file:(json_file "BENCH_server.json")
-    ~phases ~domains ~capacity ~overload_clients ~unloaded_p99 ~loaded_p99
-    ~p99_budget ~shed_ok ~latency_ok;
-  soak_ok && shed_ok && latency_ok
+  {
+    tag = "planning-server";
+    header =
+      [ ("quick", bool quick); ("domains", int domains);
+        ("admit_capacity", int capacity);
+        ("overload_clients", int overload_clients);
+        ("unloaded_p99_s", num unloaded_p99);
+        ("overload_accepted_p99_s", num loaded_p99);
+        ("p99_budget_s", num p99_budget); ("soak_ok", bool soak_ok);
+        ("shed_ok", bool shed_ok); ("latency_ok", bool latency_ok) ];
+    groups = [ ("phases", [ soak; unloaded; gold; bronze ]) ];
+    row_key = [ "phase"; "tenant" ];
+    gated = [ "sent"; "clients"; "failed"; "rate_limited" ];
+    ok = soak_ok && shed_ok && latency_ok;
+  }
 
+(* {1 Running the experiments} *)
+
+(* Table cells: integers exactly, other numbers to four significant
+   digits, null as "-". *)
+let cell = function
+  | J.Num x when Float.is_integer x -> Printf.sprintf "%.0f" x
+  | J.Num x -> Printf.sprintf "%.4g" x
+  | J.Str s -> s
+  | J.Null -> "-"
+  | v -> J.to_string v
+
+(* A row group as a table whose columns are its rows' keys. *)
+let print_group (name, rows) =
+  let keys =
+    match rows with J.Obj fields :: _ -> List.map fst fields | _ -> []
+  in
+  let cells r =
+    List.map (fun k -> cell (Option.value (J.member k r) ~default:J.Null)) keys
+  in
+  let body = List.map cells rows in
+  let widths =
+    List.fold_left
+      (List.map2 (fun w c -> max w (String.length c)))
+      (List.map String.length keys) body
+  in
+  let line cs =
+    print_endline
+      (String.concat " "
+         (List.map2 (fun w c -> Printf.sprintf "%*s" w c) widths cs))
+  in
+  Printf.printf "%s:\n" name;
+  line keys;
+  List.iter line body
+
+(* The report file: a header line — [bench], [gated], [row_key], then
+   the experiment's own fields — and one row per line. *)
+let write_report file r =
+  let names l = J.List (List.map str l) in
+  let field (k, v) = J.escape_string k ^ ":" ^ J.to_string v in
+  let group (name, rows) =
+    ",\n" ^ J.escape_string name ^ ":[\n"
+    ^ String.concat ",\n" (List.map J.to_string rows)
+    ^ "]"
+  in
+  let header =
+    ("bench", str r.tag) :: ("gated", names r.gated)
+    :: ("row_key", names r.row_key) :: r.header
+  in
+  Out_channel.with_open_text file (fun oc ->
+      output_string oc
+        ("{" ^ String.concat "," (List.map field header)
+        ^ String.concat "" (List.map group r.groups)
+        ^ "}\n"))
+
+(* The first entry is also what a bare --quick runs. *)
+let registry =
+  [
+    { flag = "--scale"; file = "BENCH_parexec.json"; run = parexec;
+      title = "E14 + E19 - scale-out engine, compiled vs interpreted kernels" };
+    { flag = "--service"; file = "BENCH_service.json"; run = service;
+      title = "E15 - planning service: throughput, cache, latency" };
+    { flag = "--faults"; file = "BENCH_faults.json"; run = faults;
+      title =
+        "E16 + E23 - fault recovery vs kill rate, delta checkpoints vs \
+         cadence" };
+    { flag = "--obs"; file = "BENCH_obs.json"; run = obs;
+      title =
+        "E17 - observability: null-sink overhead, ring sink, Chrome export" };
+    { flag = "--check"; file = "BENCH_check.json"; run = check;
+      title = "E18 - differential fuzzing: cases/sec per oracle" };
+    { flag = "--mincomm"; file = "BENCH_mincomm.json"; run = mincomm;
+      title =
+        "E20 - communication-minimal fallback: servable fraction, volume \
+         prediction" };
+    { flag = "--normalize"; file = "BENCH_normalize.json"; run = normalize;
+      title =
+        "E22 - normalization front door: witnessed transforms, reach-a-plan \
+         fraction" };
+    { flag = "--server"; file = "BENCH_server.json"; run = server;
+      title = "E21 - planning server: soak, overload, load-shedding" };
+  ]
+
+(* Runs one experiment, prints its header and tables, writes its report
+   into [json_dir] (default the working directory; created if missing)
+   and returns its verdict. *)
+let run_entry ~quick ~json_dir e =
+  section e.title;
+  let r = e.run ~quick in
+  List.iter (fun (k, v) -> Printf.printf "%s: %s\n" k (cell v)) r.header;
+  List.iter print_group r.groups;
+  let file =
+    match json_dir with
+    | None -> e.file
+    | Some dir ->
+      if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+      Filename.concat dir e.file
+  in
+  write_report file r;
+  Printf.printf "wrote %s\n%s: %s\n%!" file r.tag
+    (if r.ok then "pass" else "FAIL");
+  r.ok
+
+(* The command line: --quick, one flag per registry entry, and
+   --json-dir DIR.  Anything else, or --json-dir without a value, prints
+   the usage and exits 2 rather than silently running the whole
+   suite. *)
+let parse_args () =
+  let flags = "--quick" :: List.map (fun e -> e.flag) registry in
+  let usage () =
+    Printf.eprintf "usage: %s [%s] [--json-dir DIR]\n"
+      (Filename.basename Sys.argv.(0))
+      (String.concat "] [" flags);
+    exit 2
+  in
+  let rec parse acc dir = function
+    | [] -> (acc, dir)
+    | "--json-dir" :: d :: rest when not (String.starts_with ~prefix:"-" d) ->
+      parse acc (Some d) rest
+    | f :: rest when List.mem f flags -> parse (f :: acc) dir rest
+    | _ -> usage ()
+  in
+  parse [] None (List.tl (Array.to_list Sys.argv))
+
+(* Each flag runs its experiment (at small sizes under --quick); bare
+   --quick runs the scale-out smoke; no flag runs the paper's figures
+   and tables, every experiment at full size and the micro-benchmarks.
+   Any mode exits 1 when an experiment it ran failed. *)
 let () =
-  let quick = flag "--quick" in
-  let scale_only = flag "--scale" in
-  let service_only = flag "--service" in
-  let faults_only = flag "--faults" in
-  let obs_only = flag "--obs" in
-  let check_only = flag "--check" in
-  let mincomm_only = flag "--mincomm" in
-  let normalize_only = flag "--normalize" in
-  let server_only = flag "--server" in
-  if flag "--probe" then begin
-    probe ();
-    exit 0
-  end;
-  if server_only then begin
-    (* Planning-server experiment only (E21), soak + overload; quick
-       mode keeps the shape at CI sizes.  Exits nonzero when the soak
-       loses requests, overload fails to shed the bronze tenant, or
-       accepted-request p99 blows the 3x-unloaded budget. *)
-    if not (run_server ~quick) then exit 1
-  end
-  else if mincomm_only then begin
-    (* Fallback-planning experiment only (E20), fewer cases under
-       --quick; exits nonzero when a servable run mispredicts its
-       volume or under 80% of rejected nests are servable. *)
-    if not (run_mincomm ~quick) then exit 1
-  end
-  else if normalize_only then begin
-    (* Normalization experiment only (E22), fewer cases under --quick;
-       exits nonzero on a witness failure or when under 60% of
-       unnormalized nests reach a plan through the front door. *)
-    if not (run_normalize ~quick) then exit 1
-  end
-  else if check_only then begin
-    (* Fuzzing-throughput experiment only (E18), fewer cases under
-       --quick; exits nonzero on a surviving counterexample. *)
-    if not (run_check ~quick) then exit 1
-  end
-  else if obs_only then begin
-    (* Observability experiment only (E17), small sizes under --quick;
-       exits nonzero if the null-sink overhead exceeds 2%. *)
-    if not (run_obs ~quick) then exit 1
-  end
-  else if faults_only then begin
-    (* Fault experiment only (E16), small sizes under --quick; exits
-       nonzero if any recovered result diverges from the fault-free
-       run. *)
-    if not (run_faults ~quick) then exit 1
-  end
-  else if service_only then
-    (* Service experiment only (E15), small sizes under --quick. *)
-    run_service ~quick
-  else if quick then begin
-    (* Smoke mode for CI: scale-out and backend rows, at small sizes. *)
-    let rows = scale_rows ~quick:true () in
-    print_scale_rows rows;
-    let bk = backend_rows ~quick:true () in
-    let cx = crossover_rows ~quick:true () in
-    print_backend_rows bk cx;
-    write_scale_json
-      ~file:(json_file "BENCH_parexec.json")
-      ~extra:(scale_extra ~backends:bk ~crossover:cx)
-      rows
-  end
-  else if scale_only then begin
-    (* Full-size scale-out rows only, for iterating on the engine. *)
-    let rows = scale_rows ~quick:false () in
-    print_scale_rows rows;
-    let bk = backend_rows ~quick:false () in
-    let cx = crossover_rows ~quick:false () in
-    print_backend_rows bk cx;
-    write_scale_json
-      ~file:(json_file "BENCH_parexec.json")
-      ~extra:(scale_extra ~backends:bk ~crossover:cx)
-      rows
-  end
-  else begin
+  let flags, json_dir = parse_args () in
+  let quick = List.mem "--quick" flags in
+  let chosen = List.filter (fun e -> List.mem e.flag flags) registry in
+  let full = chosen = [] && not quick in
+  if full then begin
     print_figures ();
     print_tables ();
     print_ablation ();
     print_commcost ();
     print_advisor ();
-    print_distribution ();
-    let rows = scale_rows ~quick:false () in
-    print_scale_rows rows;
-    let bk = backend_rows ~quick:false () in
-    let cx = crossover_rows ~quick:false () in
-    print_backend_rows bk cx;
-    write_scale_json
-      ~file:(json_file "BENCH_parexec.json")
-      ~extra:(scale_extra ~backends:bk ~crossover:cx)
-      rows;
-    run_service ~quick:false;
-    ignore (run_faults ~quick:false);
-    ignore (run_obs ~quick:false);
-    ignore (run_check ~quick:false);
-    ignore (run_mincomm ~quick:false);
-    ignore (run_normalize ~quick:false);
-    ignore (run_server ~quick:false);
-    run_benchmarks ()
-  end
+    print_distribution ()
+  end;
+  let chosen =
+    if chosen <> [] then chosen
+    else if quick then [ List.hd registry ]
+    else registry
+  in
+  let ok = List.for_all Fun.id (List.map (run_entry ~quick ~json_dir) chosen) in
+  if full then run_benchmarks ();
+  if not ok then exit 1

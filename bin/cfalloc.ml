@@ -652,67 +652,36 @@ let trace_check_cmd =
 
 (* bench-diff *)
 
-(* Flatten a JSON document to (path, number) leaves; arrays of objects
-   are keyed by their "workload"/"experiment"/"name" field when present
-   so rows pair up even if reordered. *)
-let rec json_leaves prefix j acc =
+(* Flatten a JSON report to (path, leaf) pairs.  A list item that is an
+   object is keyed by the report's row-key fields it has (the first
+   value bare, the rest as name=value) so rows pair up even if
+   reordered; any other item is keyed by its position. *)
+let rec json_leaves ~row_key prefix j acc =
+  let bare = function Cf_obs.Json.Str s -> s | v -> Cf_obs.Json.to_string v in
   match j with
-  | Cf_obs.Json.Num x -> (prefix, x) :: acc
   | Cf_obs.Json.Obj fields ->
     List.fold_left
-      (fun acc (k, v) -> json_leaves (prefix ^ "." ^ k) v acc)
+      (fun acc (k, v) -> json_leaves ~row_key (prefix ^ "." ^ k) v acc)
       acc fields
   | Cf_obs.Json.List items ->
     List.fold_left
       (fun (i, acc) item ->
         let key =
-          match item with
-          | Cf_obs.Json.Obj fields ->
-            let tag name =
-              match List.assoc_opt name fields with
-              | Some (Cf_obs.Json.Str s) -> Some s
-              | _ -> None
-            in
-            (match (tag "workload", tag "experiment", tag "name") with
-            | Some s, _, _ | None, Some s, _ | None, None, Some s ->
-              (* Disambiguate repeated workloads (size sweeps, kill
-                 sweeps, checkpoint-cadence sweeps) so rows pair up
-                 across files positionally independent. *)
-              let disc name =
-                match List.assoc_opt name fields with
-                | Some (Cf_obs.Json.Num x) when Float.is_integer x ->
-                  Printf.sprintf ",%s=%.0f" name x
-                | Some (Cf_obs.Json.Str v) -> Printf.sprintf ",%s=%s" name v
-                | _ -> ""
-              in
-              s ^ disc "size" ^ disc "kills" ^ disc "checkpoint_every"
-              ^ disc "mode"
-            | None, None, None -> string_of_int i)
-          | _ -> string_of_int i
+          match
+            List.filter_map
+              (fun f ->
+                Option.map (fun v -> (f, v)) (Cf_obs.Json.member f item))
+              row_key
+          with
+          | [] -> string_of_int i
+          | (_, v) :: rest ->
+            String.concat ","
+              (bare v :: List.map (fun (f, v) -> f ^ "=" ^ bare v) rest)
         in
-        (i + 1, json_leaves (prefix ^ "[" ^ key ^ "]") item acc))
+        (i + 1, json_leaves ~row_key (prefix ^ "[" ^ key ^ "]") item acc))
       (0, acc) items
     |> snd
-  | _ -> acc
-
-(* Reports whose simulated columns are deterministic: any change to one
-   of these keys is a behaviour change, not noise, and fails the diff.
-   Wall-clock keys (and [domains], which follows the host) only warn. *)
-let gated_benches = [ "parexec-scale"; "fault-recovery"; "mincomm" ]
-
-let simulated_keys =
-  [ "overhead"; "blocks"; "iterations"; "max_block"; "rounds";
-    "replayed_blocks"; "redistributed_words"; "checkpoints";
-    "checkpoint_words"; "crashed"; "retries"; "exact"; "rejected";
-    "servable"; "servable_frac"; "predicted_msgs"; "serviced_msgs" ]
-
-let simulated_leaf path =
-  let key =
-    match String.rindex_opt path '.' with
-    | Some i -> String.sub path (i + 1) (String.length path - i - 1)
-    | None -> path
-  in
-  String.starts_with ~prefix:"makespan" key || List.mem key simulated_keys
+  | leaf -> (prefix, leaf) :: acc
 
 let bench_diff_run level baseline current warn_pct =
   setup_logs level;
@@ -730,33 +699,39 @@ let bench_diff_run level baseline current warn_pct =
     Format.eprintf "error: %s@." e;
     1
   | Ok base, Ok cur ->
-    let gated =
-      match base with
-      | Cf_obs.Json.Obj fields -> (
-        match List.assoc_opt "bench" fields with
-        | Some (Cf_obs.Json.Str b) -> List.mem b gated_benches
-        | _ -> false)
-      | _ -> false
+    (* The baseline names its own deterministic keys and row keys. *)
+    let names key =
+      match Cf_obs.Json.member key base with
+      | Some (Cf_obs.Json.List l) -> List.filter_map Cf_obs.Json.str l
+      | _ -> []
     in
-    let base_leaves = json_leaves "" base [] in
-    let cur_leaves = json_leaves "" cur [] in
+    let gated = names "gated" and row_key = names "row_key" in
+    let is_gated path =
+      match String.rindex_opt path '.' with
+      | Some i ->
+        List.mem (String.sub path (i + 1) (String.length path - i - 1)) gated
+      | None -> false
+    in
+    let show = Cf_obs.Json.to_string in
+    let base_leaves = json_leaves ~row_key "" base [] in
+    let cur_leaves = json_leaves ~row_key "" cur [] in
     let warnings = ref 0 and compared = ref 0 and failures = ref 0 in
     List.iter
       (fun (path, b) ->
-        match List.assoc_opt path cur_leaves with
-        | None ->
-          if gated && simulated_leaf path then begin
+        match (List.assoc_opt path cur_leaves, b) with
+        | None, _ ->
+          if is_gated path then begin
             incr failures;
-            Format.printf "FAIL %s: %g -> missing@." path b
+            Format.printf "FAIL %s: %s -> missing@." path (show b)
           end
-        | Some c when gated && simulated_leaf path ->
+        | Some c, _ when is_gated path ->
           incr compared;
           if c <> b then begin
             incr failures;
-            Format.printf "FAIL %s: %g -> %g (simulated metric changed)@." path
-              b c
+            Format.printf "FAIL %s: %s -> %s (gated metric changed)@." path
+              (show b) (show c)
           end
-        | Some c ->
+        | Some (Cf_obs.Json.Num c), Cf_obs.Json.Num b ->
           incr compared;
           (* Tiny absolute values are all noise; only flag changes on
              metrics of measurable magnitude. *)
@@ -766,22 +741,30 @@ let bench_diff_run level baseline current warn_pct =
               incr warnings;
               Format.printf "WARN %s: %g -> %g (%+.1f%%)@." path b c pct
             end
+          end
+        | Some c, _ ->
+          incr compared;
+          if c <> b then begin
+            incr warnings;
+            Format.printf "WARN %s: %s -> %s@." path (show b) (show c)
           end)
       base_leaves;
     Format.printf
-      "bench-diff: %d metric(s) compared, %d over the %.0f%% threshold \
-       (advisory only), %d simulated metric(s) changed@."
+      "bench-diff: %d metric(s) compared, %d warning(s) at the %.0f%% \
+       threshold (advisory only), %d gated metric(s) changed@."
       !compared !warnings warn_pct !failures;
     if !failures > 0 then 1 else 0
 
 let bench_diff_cmd =
   let doc =
-    "Compare a benchmark JSON report against a committed baseline.  \
-     Metrics that moved more than the threshold are flagged WARN \
-     (advisory).  In reports tagged parexec-scale, fault-recovery or \
-     mincomm, any change to a simulated metric (makespans, overhead, \
-     block and iteration counts, recovery and checkpoint counters, \
-     fallback-planning counts) is flagged FAIL and the command exits 1."
+    "Compare a benchmark JSON report against a committed baseline.  The \
+     baseline names its deterministic keys in its $(b,gated) list and \
+     the fields that identify a row in its $(b,row_key) list.  Any \
+     change to a gated value (number, boolean or string), or a gated \
+     value missing from the current report, is flagged FAIL and the \
+     command exits 1.  Every other number that moved more than the \
+     threshold, and every other value that changed, is flagged WARN \
+     (advisory).  A baseline without a gated list is fully advisory."
   in
   let baseline_arg =
     Arg.(required & pos 0 (some file) None

@@ -55,6 +55,151 @@ let expect_ok ?(expected_status = 0) name args needles =
               true (contains out needle))
           needles)
 
+(* Rewrites the first leaf of [doc] that [pick key leaf] accepts, where
+   [key] is the field holding the leaf.  Returns that leaf's bench-diff
+   path (list rows keyed by their [row_key] values) and a temp file with
+   the rewritten report. *)
+let bench_mutant ~row_key pick doc =
+  let module J = Cf_obs.Json in
+  let hit = ref None in
+  let bare = function J.Str s -> s | v -> J.to_string v in
+  let row_id i item =
+    match
+      List.filter_map
+        (fun f -> Option.map (fun v -> (f, v)) (J.member f item))
+        row_key
+    with
+    | [] -> string_of_int i
+    | (_, v) :: rest ->
+      String.concat ","
+        (bare v :: List.map (fun (f, v) -> f ^ "=" ^ bare v) rest)
+  in
+  let rec go path key = function
+    | J.Obj fields ->
+      J.Obj (List.map (fun (k, v) -> (k, go (path ^ "." ^ k) k v)) fields)
+    | J.List items ->
+      J.List
+        (List.mapi
+           (fun i item -> go (path ^ "[" ^ row_id i item ^ "]") key item)
+           items)
+    | leaf -> (
+      match (!hit, pick key leaf) with
+      | None, Some leaf' ->
+        hit := Some path;
+        leaf'
+      | _ -> leaf)
+  in
+  let doc = go "" "" doc in
+  Option.map
+    (fun path ->
+      let f = Filename.temp_file "bench_mutant" ".json" in
+      Out_channel.with_open_text f (fun oc ->
+          output_string oc (J.to_string doc));
+      (path, f))
+    !hit
+
+(* Every committed quick baseline gates itself: a self-diff is clean,
+   bumping its first gated number or flipping any gated boolean fails
+   with the leaf's path, and doubling a wall-clock key only warns. *)
+let bench_baselines_gated () =
+  let module J = Cf_obs.Json in
+  if Lazy.force available then begin
+    let dir = Filename.concat root "bench/baselines" in
+    let files =
+      List.sort compare
+        (List.filter
+           (fun f -> Filename.check_suffix f ".json")
+           (Array.to_list (Sys.readdir dir)))
+    in
+    check_bool "baselines found" true (files <> []);
+    let flipped = ref [] and doubled = ref [] in
+    List.iter
+      (fun file ->
+        let baseline = Filename.concat dir file in
+        let base =
+          match
+            J.parse (In_channel.with_open_text baseline In_channel.input_all)
+          with
+          | Ok j -> j
+          | Error e -> Alcotest.fail e
+        in
+        let names key =
+          match J.member key base with
+          | Some (J.List l) -> List.filter_map J.str l
+          | _ -> []
+        in
+        let gated = names "gated" and row_key = names "row_key" in
+        check_bool (file ^ " names its gated keys") true (gated <> []);
+        let diff current =
+          match run_cli [ "bench-diff"; baseline; current ] with
+          | Some r -> r
+          | None -> Alcotest.fail "cfalloc not built"
+        in
+        let expect ~status ~line = function
+          | None -> false
+          | Some (path, f) ->
+            let st, out = diff f in
+            Sys.remove f;
+            check_int (file ^ " exit for " ^ path) status st;
+            check_bool (file ^ " prints " ^ line ^ path) true
+              (contains out (line ^ path ^ ":"));
+            true
+        in
+        let st, out = diff baseline in
+        check_int (file ^ " self-diff exit") 0 st;
+        check_bool (file ^ " self-diff is clean") false
+          (contains out "FAIL" || contains out "WARN");
+        check_bool (file ^ " bumps a gated number") true
+          (expect ~status:1 ~line:"FAIL "
+             (bench_mutant ~row_key
+                (fun k v ->
+                  match v with
+                  | J.Num x when List.mem k gated -> Some (J.Num (x +. 1.))
+                  | _ -> None)
+                base));
+        List.iter
+          (fun key ->
+            if
+              expect ~status:1 ~line:"FAIL "
+                (bench_mutant ~row_key
+                   (fun k v ->
+                     match v with
+                     | J.Bool b when k = key -> Some (J.Bool (not b))
+                     | _ -> None)
+                   base)
+            then flipped := (file, key) :: !flipped)
+          gated;
+        if
+          expect ~status:0 ~line:"WARN "
+            (bench_mutant ~row_key
+               (fun k v ->
+                 match v with
+                 | J.Num x
+                   when x > 0. && String.ends_with ~suffix:"_s" k
+                        && not (List.mem k gated) ->
+                   Some (J.Num (2. *. x))
+                 | _ -> None)
+               base)
+        then doubled := file :: !doubled)
+      files;
+    List.iter
+      (fun (file, key) ->
+        check_bool
+          (Printf.sprintf "%s flips gated %s" file key)
+          true
+          (List.mem (file, key) !flipped))
+      [ ("BENCH_check.json", "pass"); ("BENCH_mincomm.json", "pass");
+        ("BENCH_normalize.json", "pass"); ("BENCH_faults.json", "identical");
+        ("BENCH_parexec.json", "cross_check_ok");
+        ("BENCH_parexec.json", "reports_identical");
+        ("BENCH_service.json", "identity_vs_sequential") ];
+    (* Every report but fault-recovery, whose times are all simulated,
+       carries a wall-clock key. *)
+    check_int "reports with a wall-clock key"
+      (List.length files - 1)
+      (List.length !doubled)
+  end
+
 let cases =
   [
     expect_ok "analyze L1"
@@ -242,7 +387,7 @@ let cases =
         in
         let report ~t ~makespan ~domains =
           Printf.sprintf
-            {|{"bench": "parexec-scale", "rows": [{"workload": "matmul", "size": 8, "t_s": %g, "domains": %d, "blocks": 4, "makespan_s": %g}]}|}
+            {|{"bench": "parexec-scale", "gated": ["blocks", "makespan_s"], "row_key": ["workload", "size"], "rows": [{"workload": "matmul", "size": 8, "t_s": %g, "domains": %d, "blocks": 4, "makespan_s": %g}]}|}
             t domains makespan
         in
         let baseline =
@@ -269,6 +414,8 @@ let cases =
         List.iter
           (fun f -> try Sys.remove f with Sys_error _ -> ())
           [ baseline; wall; drift ]);
+    Alcotest.test_case "bench-diff gates every committed baseline" `Slow
+      bench_baselines_gated;
     expect_ok "fuzz --help documents the subcommand"
       [ "fuzz"; "--help=plain" ]
       [ "--seed"; "--count"; "--oracle"; "--corpus-dir";
