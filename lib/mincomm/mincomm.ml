@@ -229,6 +229,43 @@ let plan_of_facts ?(nprocs = 4) facts =
 let plan ?search_radius ?nprocs nest =
   plan_of_facts ?nprocs (Facts.make ?search_radius nest)
 
+(* Array names in the order {!Cf_cache.Canon} numbers them: each
+   statement's write, then its reads left to right. *)
+let array_occurrences nest =
+  List.concat_map
+    (fun (s : Stmt.t) ->
+      s.Stmt.lhs.Aref.array
+      :: List.map (fun (r : Aref.t) -> r.Aref.array) (Stmt.reads s))
+    nest.Nest.body
+
+let relabel t nest =
+  let old_names = array_occurrences t.nest
+  and new_names = array_occurrences nest in
+  if
+    Nest.depth nest <> Nest.depth t.nest
+    || List.length old_names <> List.length new_names
+  then invalid_arg "Mincomm.relabel: nest shape mismatch";
+  let rename = Hashtbl.create 8 in
+  List.iter2 (Hashtbl.replace rename) old_names new_names;
+  (* Origins that name an array ("psi[A]", "join-minus[A]", ...) follow
+     the renaming; "axis[0]" and the rest carry no array name. *)
+  let candidate c =
+    let n = String.length c.origin in
+    match String.index_opt c.origin '[' with
+    | Some i when c.origin.[n - 1] = ']' -> (
+      match Hashtbl.find_opt rename (String.sub c.origin (i + 1) (n - i - 2)) with
+      | Some a -> { c with origin = String.sub c.origin 0 (i + 1) ^ a ^ "]" }
+      | None -> c)
+    | _ -> c
+  in
+  {
+    t with
+    nest;
+    choice = candidate t.choice;
+    partition = Iter_partition.relabel t.partition nest;
+    ranked = List.map (fun (c, e) -> (candidate c, e)) t.ranked;
+  }
+
 let servable t = Iter_partition.block_count t.partition >= 2
 
 let describe ppf t =

@@ -118,6 +118,22 @@ val plan_of_facts : ?nprocs:int -> Facts.t -> t
     uniformly generated (the theorem machinery's own precondition);
     raises [Invalid_argument] otherwise. *)
 
+val relabel : t -> Cf_loop.Nest.t -> t
+(** [relabel t nest] re-expresses a fallback plan under the caller's
+    names, as {!Cf_pipeline.Pipeline.relabel} does for exact plans:
+    [nest] must be [t.nest] modulo renaming ({!Cf_cache.Canon}'s
+    condition).  Arrays correspond by position of textual occurrence
+    (each statement's write, then its reads), so origins naming an
+    array — ["psi[A]"], ["psi_r[A]"], ["join-minus[A]"] — name the
+    caller's array; spaces, estimates, verdicts and the partition's
+    blocks are shared untouched.  The ranking is not redone: candidates
+    that tie on volume and dimension keep the order their {e old}
+    origins gave them, so the relabeled choice can be another candidate
+    than a cold {!plan} of [nest] picks — never one of another predicted
+    volume, dimension or {!servable} verdict.  Raises
+    [Invalid_argument] when the depth or the number of array occurrences
+    differs. *)
+
 val servable : t -> bool
 (** The chosen partition has at least two blocks: executing it spreads
     work over more than one PE, so the plan is worth serving. *)

@@ -33,56 +33,48 @@ let encode_record payload =
   Bytes.blit_string payload 0 b 8 n;
   Bytes.unsafe_to_string b
 
-(* Scan committed records; anything from the first damaged byte on is
-   the torn tail.  Returns the entries, the offset of the first byte
-   past the last good record, and whether a tail was cut off. *)
-let scan ~max_record data =
-  let n = String.length data in
-  let rec go acc pos =
-    if pos + 8 > n then (List.rev acc, pos)
-    else begin
-      let len =
-        let raw = Int32.to_int (String.get_int32_be data pos) in
-        if raw < 0 then max_int else raw
-      in
-      if len > max_record || pos + 8 + len > n then (List.rev acc, pos)
-      else begin
-        let crc = String.get_int32_be data (pos + 4) in
-        if Crc32.sub data ~pos:(pos + 8) ~len <> crc then (List.rev acc, pos)
-        else go (String.sub data (pos + 8) len :: acc) (pos + 8 + len)
-      end
-    end
-  in
-  go [] header_len
-
-let read_file path =
+(* Committed records of [path] read one at a time, up to [limit] bytes:
+   [f index header payload] per record, stopping at the first damaged
+   one — anything from there on is the torn tail.  [header] is the
+   record's 8 length and CRC bytes, which stay valid for a verbatim
+   copy.  Returns the offset just past the last good record. *)
+let fold_records ~max_record ~limit path f =
   let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      let header = Bytes.create 8 in
+      let rec go i pos =
+        if pos + 8 > limit then pos
+        else begin
+          really_input ic header 0 8;
+          let len =
+            let raw = Int32.to_int (Bytes.get_int32_be header 0) in
+            if raw < 0 then max_int else raw
+          in
+          if len > max_record || pos + 8 + len > limit then pos
+          else begin
+            let payload = really_input_string ic len in
+            if Crc32.string payload <> Bytes.get_int32_be header 4 then pos
+            else begin
+              f i header payload;
+              go (i + 1) (pos + 8 + len)
+            end
+          end
+        end
+      in
+      seek_in ic header_len;
+      go 0 header_len)
 
-let replay_of_data ~max_record path data =
-  let n = String.length data in
-  if n < header_len then begin
-    (* Only a crash while writing our own header leaves a short prefix
-       of the magic; anything else is not a journal. *)
-    if not (String.equal data (String.sub magic 0 n)) then
-      invalid_arg
-        (Printf.sprintf "Journal: %s is not a journal (bad header)" path);
-    { entries = []; skipped_bytes = n; truncated = n > 0 }
-  end
-  else if not (String.equal (String.sub data 0 header_len) magic) then
-    invalid_arg
-      (Printf.sprintf "Journal: %s is not a journal (bad header)" path)
-  else begin
-    let entries, good_end = scan ~max_record data in
-    {
-      entries;
-      skipped_bytes = n - good_end;
-      truncated = n > good_end;
-    }
-  end
+(* The file's length and its first [header_len] bytes (fewer if it is
+   shorter). *)
+let read_head path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      let n = in_channel_length ic in
+      (n, really_input_string ic (min n header_len)))
 
 (* [good_end]: where appends must resume — header_len for a fresh or
    header-torn file, end-of-last-good-record otherwise. *)
@@ -90,10 +82,32 @@ let replay_and_end ~max_record path =
   if not (Sys.file_exists path) then
     ({ entries = []; skipped_bytes = 0; truncated = false }, 0, false)
   else begin
-    let data = read_file path in
-    let r = replay_of_data ~max_record path data in
-    if String.length data < header_len then (r, 0, true)
-    else (r, String.length data - r.skipped_bytes, true)
+    let n, head = read_head path in
+    let not_a_journal () =
+      invalid_arg
+        (Printf.sprintf "Journal: %s is not a journal (bad header)" path)
+    in
+    if n < header_len then begin
+      (* Only a crash while writing our own header leaves a short prefix
+         of the magic; anything else is not a journal. *)
+      if not (String.equal head (String.sub magic 0 n)) then not_a_journal ();
+      ({ entries = []; skipped_bytes = n; truncated = n > 0 }, 0, true)
+    end
+    else if not (String.equal head magic) then not_a_journal ()
+    else begin
+      let entries = ref [] in
+      let good_end =
+        fold_records ~max_record ~limit:n path (fun _ _ e ->
+            entries := e :: !entries)
+      in
+      ( {
+          entries = List.rev !entries;
+          skipped_bytes = n - good_end;
+          truncated = n > good_end;
+        },
+        good_end,
+        true )
+    end
   end
 
 let replay_file ?(max_record = default_max_record) path =
@@ -176,37 +190,32 @@ let append t payload =
 let sync t =
   locked t (fun () -> if not t.closed then sync_locked t)
 
+(* Two streamed passes over the committed records — the latest index
+   per key, then the copy — so memory holds one record and the key
+   table, never the file. *)
 let compact t ~key =
   locked t (fun () ->
       if t.closed then raise (Sys_error "Journal.compact: journal is closed");
       flush t.oc;
-      let data = read_file t.path in
-      let entries, _ = scan ~max_record:t.max_record data in
+      let fold f =
+        ignore (fold_records ~max_record:t.max_record ~limit:t.size t.path f)
+      in
       (* Latest record wins per key, and keeps its position, so replay
          order stays stable. *)
-      let indexed = List.mapi (fun i e -> (i, e)) entries in
       let latest = Hashtbl.create 64 in
-      List.iter
-        (fun (i, e) ->
-          match key e with
-          | None -> ()
-          | Some k -> Hashtbl.replace latest k i)
-        indexed;
-      let kept =
-        List.filter_map
-          (fun (i, e) ->
-            match key e with
-            | Some k when Hashtbl.find latest k = i -> Some e
-            | _ -> None)
-          indexed
-      in
+      fold (fun i _ e -> Option.iter (fun k -> Hashtbl.replace latest k i) (key e));
       let tmp = t.path ^ ".compact" in
       let tfd =
         Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
       in
       let toc = Unix.out_channel_of_descr tfd in
       output_string toc magic;
-      List.iter (fun e -> output_string toc (encode_record e)) kept;
+      fold (fun i header e ->
+          match key e with
+          | Some k when Hashtbl.find latest k = i ->
+            output_bytes toc header;
+            output_string toc e
+          | _ -> ());
       flush toc;
       Unix.fsync tfd;
       close_out toc;

@@ -1,6 +1,7 @@
 (** Append-only record journal with CRC framing and torn-tail recovery.
 
-    The persistent plan store writes one record per cache-miss plan;
+    The persistent plan store writes one record per cache-miss plan
+    (and one more when an entry's fallback plan is first computed);
     replaying the journal on boot re-warms the plan cache, so cache
     warmth survives [kill -9].  Records are opaque strings here — the
     server layers its own JSON entry format on top.
@@ -36,7 +37,8 @@ val replay_file : ?max_record:int -> string -> replay
     header that is not the journal magic (pointing the store at an
     arbitrary file must fail loudly, not destroy it); genuinely torn
     headers — short prefixes of the magic from a crash during creation —
-    replay as empty. *)
+    replay as empty.  Records are read one at a time, by the same reader
+    {!compact} uses. *)
 
 val open_ : ?fsync_every:int -> ?max_record:int -> string -> t * replay
 (** Open for appending, creating the file (and its header) when
@@ -54,8 +56,12 @@ val sync : t -> unit
 
 val compact : t -> key:(string -> string option) -> unit
 (** Rewrite keeping, for each distinct key, only the {e latest} record
-    mapping to it; records with [key = None] are dropped.  Atomic:
-    readers of the path see either the old or the new journal. *)
+    mapping to it, in journal order; records with [key = None] are
+    dropped.  Streams the committed records twice, one at a time (the
+    latest index per key, then a verbatim copy of the kept ones), so it
+    holds one record and the key table in memory, never the file; like
+    replay it stops at the first damaged record.  Atomic: readers of the
+    path see either the old or the new journal. *)
 
 val close : t -> unit
 (** Sync and close.  Idempotent. *)

@@ -2,7 +2,6 @@ module Json = Cf_obs.Json
 module Metrics = Cf_obs.Metrics
 module Trace = Cf_obs.Trace
 module Service = Cf_service.Service
-module Canon = Cf_cache.Canon
 
 type config = {
   unix_socket : string option;
@@ -62,6 +61,7 @@ type meters = {
   m_planned : Metrics.counter;  (* plans answered Done *)
   m_cache_hits : Metrics.counter;
   m_fallback : Metrics.counter;  (* served from the min-comm tier *)
+  m_fallback_planned : Metrics.counter;  (* min-comm plans computed *)
   m_shed : Metrics.counter;
   m_rate_limited : Metrics.counter;
   m_saturated : Metrics.counter;
@@ -101,56 +101,83 @@ type t = {
    The store journals the {e request}, not the plan: planning is
    deterministic, so digest + strategy + radius + canonical source
    rebuild the identical plan on replay.  This keeps records small and
-   sidesteps serializing the plan structure. *)
+   sidesteps serializing the plan structure.  An entry that holds a
+   fallback plan says so with the [nprocs] it was planned for; a record
+   without that field (every record written before fallbacks were
+   cached) replays as exact-only. *)
 
-let entry_to_json ~digest ~strategy ~search_radius ~src =
+type entry = {
+  digest : string;
+  strategy : Cf_core.Strategy.t;
+  search_radius : int option;
+  fallback : int option;  (** [nprocs] of the entry's fallback plan *)
+  src : string;  (** the canonical nest *)
+}
+
+let int_opt name = function
+  | None -> []
+  | Some n -> [ (name, Json.Num (float_of_int n)) ]
+
+let entry_to_json e =
   Json.to_string
     (Json.Obj
-       (("digest", Json.Str digest)
-        :: ("strategy", Json.Str (Cf_core.Strategy.to_string strategy))
-        :: (match search_radius with
-           | None -> []
-           | Some r -> [ ("radius", Json.Num (float_of_int r)) ])
-       @ [ ("nest", Json.Str src) ]))
+       ((("digest", Json.Str e.digest)
+         :: ("strategy", Json.Str (Cf_core.Strategy.to_string e.strategy))
+         :: int_opt "radius" e.search_radius)
+       @ int_opt "fallback" e.fallback
+       @ [ ("nest", Json.Str e.src) ]))
 
 let entry_of_json s =
   match Json.parse s with
   | Error _ -> None
   | Ok j -> (
     let str name = Option.bind (Json.member name j) Json.str in
+    let int name =
+      match Option.bind (Json.member name j) Json.num with
+      | Some r when Float.is_integer r -> Some (int_of_float r)
+      | _ -> None
+    in
     match (str "digest", str "strategy", str "nest") with
-    | Some digest, Some sname, Some src -> (
-      match Protocol.strategy_of_string sname with
-      | None -> None
-      | Some strategy ->
-        let search_radius =
-          match Option.bind (Json.member "radius" j) Json.num with
-          | Some r when Float.is_integer r -> Some (int_of_float r)
-          | _ -> None
-        in
-        Some (digest, strategy, search_radius, src))
+    | Some digest, Some sname, Some src ->
+      Option.map
+        (fun strategy ->
+          {
+            digest;
+            strategy;
+            search_radius = int "radius";
+            fallback = int "fallback";
+            src;
+          })
+        (Protocol.strategy_of_string sname)
     | _ -> None)
 
+(* The planner's cache key: a record carrying a fallback supersedes the
+   entry's earlier exact-only record. *)
 let entry_key s =
   Option.map
-    (fun (digest, strategy, radius, _) ->
-      Printf.sprintf "%s/%s/%s" digest
-        (Cf_core.Strategy.to_string strategy)
-        (match radius with None -> "-" | Some r -> string_of_int r))
+    (fun e ->
+      Printf.sprintf "%s/%s/%s" e.digest
+        (Cf_core.Strategy.to_string e.strategy)
+        (match e.search_radius with None -> "-" | Some r -> string_of_int r))
     (entry_of_json s)
 
-let replay_into service entries =
+(* A journaled fallback is re-planned only for the placement size this
+   server serves; for any other it would never be reused. *)
+let replay_into ~nprocs service entries =
   let warmed = ref 0 and bad = ref 0 in
   List.iter
-    (fun e ->
-      match entry_of_json e with
+    (fun s ->
+      match entry_of_json s with
       | None -> incr bad
-      | Some (_digest, strategy, search_radius, src) -> (
-        match Cf_loop.Parse.nest src with
+      | Some e -> (
+        match Cf_loop.Parse.nest e.src with
         | exception _ -> incr bad
         | nest ->
-          if Service.warm ~strategy ?search_radius service nest then
-            incr warmed
+          let serve = if e.fallback = Some nprocs then e.fallback else None in
+          if
+            Service.warm ~strategy:e.strategy ?search_radius:e.search_radius
+              ?serve service nest
+          then incr warmed
           else incr bad))
     entries;
   (!warmed, !bad)
@@ -281,38 +308,43 @@ let sampled t =
    Mutex.unlock t.sample_lock;
    u < t.config.trace_sample)
 
-let append_journal t ~digest ~strategy ~search_radius ~src =
+(* One record per cache miss, and one more when a hit's fallback is
+   planned, so that the entry's latest record carries it. *)
+let journal_completion t ~strategy ~search_radius (c : Service.completion) =
   match t.journal with
-  | None -> ()
-  | Some j ->
-    Journal.append j (entry_to_json ~digest ~strategy ~search_radius ~src);
+  | Some j when (not c.cache_hit) || c.fallback_planned ->
+    Journal.append j
+      (entry_to_json
+         {
+           digest = c.canon.Cf_cache.Canon.digest;
+           strategy;
+           search_radius;
+           fallback = Option.map (fun _ -> t.config.nprocs) c.fallback;
+           src = Format.asprintf "@[<v>%a@]" Cf_loop.Nest.pp c.canon.nest;
+         });
     Metrics.incr t.meters.m_journal_appends
+  | _ -> ()
 
-let plan_response t ~serve ~digest ~search_radius (c : Service.completion) =
+let plan_response t (c : Service.completion) =
   if c.cache_hit then Metrics.incr t.meters.m_cache_hits;
+  if c.fallback_planned then Metrics.incr t.meters.m_fallback_planned;
   Metrics.incr t.meters.m_planned;
   let plan = c.plan in
-  let parallelism = Cf_pipeline.Pipeline.parallelism plan in
   let base =
     [
       ("op", Json.Str "plan");
-      ("digest", Json.Str digest);
+      ("digest", Json.Str c.canon.Cf_cache.Canon.digest);
       ("cache_hit", Json.Bool c.cache_hit);
-      ("parallelism", num_of_int parallelism);
+      ("parallelism", num_of_int (Cf_pipeline.Pipeline.parallelism plan));
       ("blocks", num_of_int (Cf_pipeline.Pipeline.block_count plan));
       ("latency_ms", Json.Num (1e3 *. c.latency));
     ]
   in
-  if serve && parallelism = 0 then begin
-    (* Theorem-rejected nest on the serving path: degrade to the
-       communication-minimal tier instead of a zero-parallelism plan,
-       under the search radius the exact tier was planned with.
-       Fallback plans are recomputed per request and never journaled —
-       they are not part of the exact-plan cache. *)
-    let mc =
-      Cf_mincomm.Mincomm.plan ?search_radius ~nprocs:t.config.nprocs
-        plan.nest
-    in
+  match c.fallback with
+  | Some mc ->
+    (* Theorem-rejected nest on the serving path: the worker degraded it
+       to the communication-minimal tier instead of a zero-parallelism
+       plan, under the search radius the exact tier was planned with. *)
     Metrics.incr t.meters.m_fallback;
     Protocol.ok
       (base
@@ -322,8 +354,7 @@ let plan_response t ~serve ~digest ~search_radius (c : Service.completion) =
           ("predicted_messages", num_of_int mc.estimate.messages);
           ("servable", Json.Bool (Cf_mincomm.Mincomm.servable mc));
         ])
-  end
-  else Protocol.ok (base @ [ ("tier", Json.Str "exact") ])
+  | None -> Protocol.ok (base @ [ ("tier", Json.Str "exact") ])
 
 let handle_plan t ~tenant ~serve ~src ~strategy ~search_radius ~timeout =
   match Cf_loop.Parse.nest src with
@@ -352,16 +383,14 @@ let handle_plan t ~tenant ~serve ~src ~strategy ~search_radius ~timeout =
       Fun.protect
         ~finally:(fun () -> Admission.release t.admission tenant)
         (fun () ->
+          let serve = if serve then Some t.config.nprocs else None in
           match
-            Service.plan_one ~strategy ?search_radius ?timeout t.service nest
+            Service.plan_one ~strategy ?search_radius ?serve ?timeout
+              t.service nest
           with
           | Service.Done c ->
-            let canon = Canon.canonicalize nest in
-            if not c.cache_hit then
-              append_journal t ~digest:canon.digest ~strategy ~search_radius
-                ~src:
-                  (Format.asprintf "@[<v>%a@]" Cf_loop.Nest.pp canon.nest);
-            plan_response t ~serve ~digest:canon.digest ~search_radius c
+            journal_completion t ~strategy ~search_radius c;
+            plan_response t c
           | Service.Failed msg ->
             Protocol.error_response ~detail:msg Protocol.Plan_failed
           | Service.Rejected ->
@@ -617,6 +646,7 @@ let start config =
       m_planned = Metrics.counter registry "server.planned";
       m_cache_hits = Metrics.counter registry "server.cache_hits";
       m_fallback = Metrics.counter registry "server.fallback_served";
+      m_fallback_planned = Metrics.counter registry "server.fallback_planned";
       m_shed = Metrics.counter registry "server.shed";
       m_rate_limited = Metrics.counter registry "server.rate_limited";
       m_saturated = Metrics.counter registry "server.saturated";
@@ -648,7 +678,9 @@ let start config =
         Journal.open_ ~fsync_every:config.fsync_every
           ~max_record:config.max_frame path
       in
-      let warmed, bad = replay_into service replay.Journal.entries in
+      let warmed, bad =
+        replay_into ~nprocs:config.nprocs service replay.Journal.entries
+      in
       ( Some j,
         {
           entries = List.length replay.Journal.entries;

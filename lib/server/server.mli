@@ -10,17 +10,29 @@
     by [max_frame]; a peer announcing an oversized frame is told so and
     disconnected before any payload is buffered.
 
+    Fallback tier: a [plan_serve] request of a theorem-rejected nest
+    is answered from the fallback plan in the nest's cache entry
+    ({!Cf_service.Planner.plan}), planned once per entry for
+    [nprocs] inside the service worker while the request holds its
+    queue slot (its [timeout] is checked only before planning starts),
+    and relabeled to the caller's names on every reply.
+    [stats] counts [server.fallback_planned] against
+    [server.fallback_served].
+
     Crash safety: when [journal] is set, every cache-miss plan appends a
     logical record — canonical digest, strategy, search radius, and the
-    canonical nest source — to an append-only CRC-framed {!Journal}.  On
-    boot the journal is replayed and each record re-planned through
+    canonical nest source — to an append-only CRC-framed {!Journal}; the
+    first fallback planned on an entry appends the entry's record again
+    with the [nprocs] it was planned for.  On boot the journal is
+    replayed and each record re-planned through
     {!Cf_service.Service.warm} (planning is deterministic, so replay
-    rebuilds byte-identical plans), which makes cache warmth survive
-    [kill -9]: fully committed records become cache hits, torn tails are
-    truncated and counted, and boot never fails on a corrupt tail.  A
-    background thread compacts the journal (latest record per key) once
-    it grows past [journal_max_bytes] and past twice its size after the
-    previous compaction.
+    rebuilds byte-identical plans; a record's fallback is re-planned
+    when its [nprocs] is this server's), which makes cache warmth
+    survive [kill -9]: fully committed records become cache hits, torn
+    tails are truncated and counted, and boot never fails on a corrupt
+    tail.  A background thread compacts the journal (latest record per
+    key, streamed) once it grows past [journal_max_bytes] and past twice
+    its size after the previous compaction.
 
     Admission: every [plan] request passes the per-tenant
     {!Admission} gate before touching the service queue — token-bucket
@@ -48,7 +60,8 @@ type config = {
       (** tenant-spec file (one [--tenant] spec per line, [#] comments);
           read at boot and re-read by the [reload] protocol op /
           {!reload_tenants} — [tenants] is ignored while set *)
-  nprocs : int;  (** placement size for the fallback tier *)
+  nprocs : int;
+      (** placement size the fallback tier plans and caches for *)
   trace : Cf_obs.Trace.t;
   trace_sample : float;  (** fraction of requests traced, 0..1 *)
   trace_seed : int;  (** seeds the sampling stream *)

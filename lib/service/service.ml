@@ -2,7 +2,10 @@ module Histogram = Cf_obs.Histogram
 
 type completion = {
   plan : Cf_pipeline.Pipeline.t;
+  fallback : Cf_mincomm.Mincomm.t option;
+  canon : Cf_cache.Canon.t;
   cache_hit : bool;
+  fallback_planned : bool;
   latency : float;
 }
 
@@ -57,6 +60,7 @@ type job = {
   nest : Cf_loop.Nest.t;
   strategy : Cf_core.Strategy.t;
   search_radius : int option;
+  serve : int option;  (** fallback placement size, for [plan_serve] *)
   deadline : float option;  (** absolute, [Unix.gettimeofday] scale *)
   submitted_at : float;
   ticket : ticket;
@@ -172,18 +176,24 @@ let run_job t job =
   | Some d when now >= d -> Timed_out
   | _ -> (
     try
-      let plan, cache_hit =
+      let a =
         match t.planner with
         | Some p ->
           Planner.plan ~obs:t.obs ~strategy:job.strategy
-            ?search_radius:job.search_radius p job.nest
+            ?search_radius:job.search_radius ?serve:job.serve p job.nest
         | None ->
-          ( Cf_pipeline.Pipeline.plan ~obs:t.obs ~strategy:job.strategy
-              ?search_radius:job.search_radius job.nest,
-            false )
+          Planner.uncached ~obs:t.obs ~strategy:job.strategy
+            ?search_radius:job.search_radius ?serve:job.serve job.nest
       in
       Done
-        { plan; cache_hit; latency = Unix.gettimeofday () -. job.submitted_at }
+        {
+          plan = a.Planner.plan;
+          fallback = a.Planner.fallback;
+          canon = a.Planner.canon;
+          cache_hit = a.Planner.hit;
+          fallback_planned = a.Planner.fallback_planned;
+          latency = Unix.gettimeofday () -. job.submitted_at;
+        }
     with e -> Failed (Printexc.to_string e))
 
 let rec worker_loop t =
@@ -341,7 +351,7 @@ let create ?domains ?(queue_depth = 64) ?(cache = Some 1024)
   t
 
 let enqueue ~block ?(strategy = Cf_core.Strategy.Nonduplicate) ?search_radius
-    ?timeout t nest =
+    ?serve ?timeout t nest =
   let now = Unix.gettimeofday () in
   let ticket = fresh_ticket () in
   let job =
@@ -349,6 +359,7 @@ let enqueue ~block ?(strategy = Cf_core.Strategy.Nonduplicate) ?search_radius
       nest;
       strategy;
       search_radius;
+      serve;
       deadline = Option.map (fun s -> now +. s) timeout;
       submitted_at = now;
       ticket;
@@ -378,11 +389,11 @@ let enqueue ~block ?(strategy = Cf_core.Strategy.Nonduplicate) ?search_radius
   if not accepted then resolve ticket Rejected;
   ticket
 
-let submit ?strategy ?search_radius ?timeout t nest =
-  enqueue ~block:false ?strategy ?search_radius ?timeout t nest
+let submit ?strategy ?search_radius ?serve ?timeout t nest =
+  enqueue ~block:false ?strategy ?search_radius ?serve ?timeout t nest
 
-let plan_one ?strategy ?search_radius ?timeout t nest =
-  await (submit ?strategy ?search_radius ?timeout t nest)
+let plan_one ?strategy ?search_radius ?serve ?timeout t nest =
+  await (submit ?strategy ?search_radius ?serve ?timeout t nest)
 
 let plan_many ?strategy ?search_radius ?timeout t nests =
   List.map await
@@ -434,14 +445,13 @@ let plan_retry ?(max_attempts = 5) ?(backoff = 0.001) ?(jitter = 0.1)
 (* Planned on the caller's thread, bypassing the queue: boot-time cache
    warming must not contend with (or be shed by) live traffic, and the
    caller already holds the replayed request parameters. *)
-let warm ?(strategy = Cf_core.Strategy.Nonduplicate) ?search_radius t nest =
+let warm ?(strategy = Cf_core.Strategy.Nonduplicate) ?search_radius ?serve t
+    nest =
   match t.planner with
   | None -> false
   | Some p -> (
     try
-      let _plan, _hit =
-        Planner.plan ~obs:t.obs ~strategy ?search_radius p nest
-      in
+      ignore (Planner.plan ~obs:t.obs ~strategy ?search_radius ?serve p nest);
       true
     with _ -> false)
 

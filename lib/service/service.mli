@@ -10,7 +10,12 @@
     structurally identical nests are planned once and re-labeled per
     caller.  Planning is deterministic, so every answer is identical to
     a direct sequential {!Cf_pipeline.Pipeline.plan} of the same request
-    regardless of concurrency.
+    regardless of concurrency.  A request with [serve] (the server's
+    [plan_serve]) also gets the fallback tier's plan of a rejected nest,
+    planned inside the worker and cached in the same entry: the request
+    holds its queue slot while the fallback is planned, but its deadline
+    is checked only before planning starts, so a started request runs
+    to completion, fallback included.
 
     Lifecycle: {!create} spawns the domains; {!drain} waits for quiet;
     {!shutdown} closes the queue, lets the workers finish what is
@@ -32,7 +37,16 @@ type t
 
 type completion = {
   plan : Cf_pipeline.Pipeline.t;
-  cache_hit : bool;
+  fallback : Cf_mincomm.Mincomm.t option;
+      (** the fallback tier's plan when the request asked for it
+          ([serve]) and the theorems rejected the nest — see
+          {!Planner.plan} for its contract *)
+  canon : Cf_cache.Canon.t;
+      (** the request's canonical form (its cache key), computed once by
+          the worker, cache on or off *)
+  cache_hit : bool;  (** the exact plan came from the cache *)
+  fallback_planned : bool;
+      (** this request's worker ran {!Cf_mincomm.Mincomm.plan} *)
   latency : float;  (** submission → completion, seconds *)
 }
 
@@ -84,19 +98,23 @@ val create :
 val submit :
   ?strategy:Cf_core.Strategy.t ->
   ?search_radius:int ->
+  ?serve:int ->
   ?timeout:float ->
   t ->
   Cf_loop.Nest.t ->
   ticket
 (** Non-blocking: a full (or closed) queue yields a ticket already
-    resolved to {!Rejected}.  [timeout] is a relative deadline in
-    seconds ([<= 0] means already expired). *)
+    resolved to {!Rejected}.  [serve = Some nprocs] asks for the
+    fallback plan of a rejected nest, for a cyclic placement on
+    [nprocs] PEs ({!completion.fallback}).  [timeout] is a relative
+    deadline in seconds ([<= 0] means already expired). *)
 
 val await : ticket -> outcome
 
 val plan_one :
   ?strategy:Cf_core.Strategy.t ->
   ?search_radius:int ->
+  ?serve:int ->
   ?timeout:float ->
   t ->
   Cf_loop.Nest.t ->
@@ -147,13 +165,15 @@ val plan_retry :
 val warm :
   ?strategy:Cf_core.Strategy.t ->
   ?search_radius:int ->
+  ?serve:int ->
   t ->
   Cf_loop.Nest.t ->
   bool
 (** Plan [nest] synchronously on the {e caller's} thread through the
     shared plan cache, bypassing the submission queue, deadlines and the
-    circuit breaker.  Returns [false] when the cache is disabled or the
-    planner rejects the nest (nothing is raised).  This is how a server
+    circuit breaker; [serve] also fills the entry's fallback.  Returns
+    [false] when the cache is disabled or the planner rejects the nest
+    (nothing is raised).  This is how a server
     replaying its plan journal re-warms the cache at boot without
     contending with live traffic. *)
 

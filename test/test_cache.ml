@@ -148,7 +148,9 @@ let memo_cases =
    is indistinguishable from a cold plan of the caller's nest. *)
 
 let planner_agrees ?strategy name planner nest ~expect_hit =
-  let via_cache, hit = Cf_service.Planner.plan ?strategy planner nest in
+  let { Cf_service.Planner.plan = via_cache; hit; _ } =
+    Cf_service.Planner.plan ?strategy planner nest
+  in
   let direct = Cf_pipeline.Pipeline.plan ?strategy nest in
   check_bool (name ^ ": cache hit") expect_hit hit;
   plans_agree name via_cache direct
@@ -208,10 +210,14 @@ let planner_cases =
       (fun () ->
         let planner = Cf_service.Planner.create () in
         let strategy = Cf_core.Strategy.Min_duplicate in
-        let cold, h0 = Cf_service.Planner.plan ~strategy planner l3 in
+        let { Cf_service.Planner.plan = cold; hit = h0; _ } =
+          Cf_service.Planner.plan ~strategy planner l3
+        in
         check_bool "cold miss" false h0;
         let renamed = scramble l3 in
-        let warm, h1 = Cf_service.Planner.plan ~strategy planner renamed in
+        let { Cf_service.Planner.plan = warm; hit = h1; _ } =
+          Cf_service.Planner.plan ~strategy planner renamed
+        in
         check_bool "warm hit" true h1;
         plans_agree "L3 min-duplicate" warm
           (Cf_pipeline.Pipeline.plan ~strategy renamed);
@@ -224,8 +230,10 @@ let planner_cases =
       (fun nest ->
         let planner = Cf_service.Planner.create () in
         let strategy = Cf_core.Strategy.Duplicate in
-        let _, h0 = Cf_service.Planner.plan ~strategy planner nest in
-        let via, h1 =
+        let { Cf_service.Planner.hit = h0; _ } =
+          Cf_service.Planner.plan ~strategy planner nest
+        in
+        let { Cf_service.Planner.plan = via; hit = h1; _ } =
           Cf_service.Planner.plan ~strategy planner (scramble nest)
         in
         let direct =

@@ -309,6 +309,29 @@ let plan_serve_fallback () =
       (Machine.serviced_messages
          sim.Cf_pipeline.Pipeline.report.Cf_exec.Parexec.machine)
 
+(* The canonical nest's plan relabeled to the caller's names: array
+   origins name the caller's arrays, everything numeric is shared. *)
+let relabel_names_arrays () =
+  let c = Cf_cache.Canon.canonicalize matmul222 in
+  let canonical = M.plan ~search_radius:0 c.Cf_cache.Canon.nest in
+  let mc = M.relabel canonical matmul222 in
+  let cold = M.plan ~search_radius:0 matmul222 in
+  check_bool "caller's nest" true (mc.M.nest == matmul222);
+  check_bool "partition relabeled" true
+    (Cf_core.Iter_partition.nest mc.M.partition == matmul222);
+  let origins t = List.sort compare (List.map (fun (c, _) -> c.M.origin) t.M.ranked) in
+  check_bool "psi[C] present" true (List.mem "psi[C]" (origins mc));
+  check_bool "same origins as a cold plan" true (origins mc = origins cold);
+  check_bool "estimates shared" true
+    (List.for_all2 (fun (_, a) (_, b) -> a == b) canonical.M.ranked mc.M.ranked);
+  check_int "volume" cold.M.estimate.M.messages mc.M.estimate.M.messages;
+  check_int "dimension"
+    (Subspace.dim cold.M.choice.M.space)
+    (Subspace.dim mc.M.choice.M.space);
+  (match M.relabel canonical chain with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a nest of another shape must be refused")
+
 (* {2 Properties over random nests} *)
 
 let prop_fallback_serves nest =
@@ -362,6 +385,8 @@ let cases =
       plan_serve_exact;
     Alcotest.test_case "plan_serve: rejected nest simulates serviced" `Quick
       plan_serve_fallback;
+    Alcotest.test_case "relabel: origins name the caller's arrays" `Quick
+      relabel_names_arrays;
     qtest ~count:60 "random nests: fallback is sequential and on-budget"
       prop_fallback_serves arbitrary_nest;
   ]

@@ -199,6 +199,37 @@ let protocol_cases =
 
 let entries_of path = (Journal.replay_file path).Journal.entries
 
+let read_all path =
+  let ic = open_in_bin path in
+  let data = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  data
+
+(* The reference compaction: scan the whole file into memory, keep the
+   latest record per key in journal order. *)
+let whole_file_compaction ~key data =
+  let rec scan acc pos =
+    if pos + 8 > String.length data then List.rev acc
+    else
+      let len = Int32.to_int (String.get_int32_be data pos) in
+      if len < 0 || pos + 8 + len > String.length data then List.rev acc
+      else if
+        Crc32.sub data ~pos:(pos + 8) ~len <> String.get_int32_be data (pos + 4)
+      then List.rev acc
+      else scan (String.sub data (pos + 8) len :: acc) (pos + 8 + len)
+  in
+  let indexed = List.mapi (fun i e -> (i, e)) (scan [] 8) in
+  let latest = Hashtbl.create 64 in
+  List.iter
+    (fun (i, e) -> Option.iter (fun k -> Hashtbl.replace latest k i) (key e))
+    indexed;
+  List.filter_map
+    (fun (i, e) ->
+      match key e with
+      | Some k when Hashtbl.find latest k = i -> Some e
+      | _ -> None)
+    indexed
+
 let journal_cases =
   [
     Alcotest.test_case "append, close, replay in order" `Quick (fun () ->
@@ -287,7 +318,46 @@ let journal_cases =
         let j, _ = Journal.open_ path in
         check_int "compactions counted fresh per handle" 0
           (Journal.stats j).Journal.compactions;
-        Journal.close j);
+        Journal.close j;
+        (* Thousands of records over a few hundred keys, then damage:
+           a torn tail past the committed size, or a corrupted record
+           inside it.  The streamed compaction must write exactly what
+           the whole-file algorithm keeps. *)
+        let damaged name ~kept damage =
+          if Sys.file_exists path then Sys.remove path;
+          let j, _ = Journal.open_ path in
+          let rng = Random.State.make [| 8 |] in
+          for n = 1 to 3000 do
+            Journal.append j
+              (match Random.State.int rng 20 with
+              | 0 -> Printf.sprintf "junk-%d" n
+              | _ -> Printf.sprintf "k%d=%d" (Random.State.int rng 300) n)
+          done;
+          let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
+          damage fd (Journal.size j);
+          Unix.close fd;
+          let data = read_all path in
+          (* Every payload is distinct, so keying on the payload itself
+             keeps every record the whole-file scan accepts. *)
+          check_bool (name ^ ": streamed replay = whole-file scan") true
+            ((Journal.replay_file path).Journal.entries
+            = whole_file_compaction ~key:Option.some data);
+          let expected = whole_file_compaction ~key data in
+          Journal.compact j ~key;
+          Journal.close j;
+          let replay = Journal.replay_file path in
+          check_bool (name ^ ": streamed = whole-file") true
+            (replay.Journal.entries = expected);
+          check_bool (name ^ ": damage dropped") false replay.Journal.truncated;
+          check_bool (name ^ ": keys kept") true (kept (List.length expected))
+        in
+        damaged "torn tail" ~kept:(fun n -> n > 250) (fun fd size ->
+            ignore (Unix.lseek fd size Unix.SEEK_SET);
+            ignore (Unix.write_substring fd "\000\000\000\040torn" 0 8));
+        damaged "corrupt record" ~kept:(fun n -> n > 100 && n < 300)
+          (fun fd size ->
+            ignore (Unix.lseek fd (size / 2) Unix.SEEK_SET);
+            ignore (Unix.write_substring fd "\255" 0 1)));
     Alcotest.test_case "oversized records are refused" `Quick (fun () ->
         let path = tmp_path "bounds.jrnl" in
         if Sys.file_exists path then Sys.remove path;
@@ -549,11 +619,23 @@ let l5_src =
   end
 end|}
 
+let counter server name =
+  match
+    Option.bind (Json.member "metrics" (Server.stats_json server))
+      (Json.member name)
+  with
+  | Some (Json.Num x) -> int_of_float x
+  | _ -> Alcotest.failf "stats lack counter %S" name
+
 let with_server ?(config = Server.default_config) name f =
   let sock = tmp_path (name ^ ".sock") in
   let server =
     Server.start
-      { config with Server.unix_socket = Some sock; domains = Some 2 }
+      {
+        config with
+        Server.unix_socket = Some sock;
+        domains = Some (Option.value config.Server.domains ~default:2);
+      }
   in
   Fun.protect ~finally:(fun () -> Server.stop server) (fun () -> f sock server)
 
@@ -648,6 +730,81 @@ let e2e_cases =
                         (float_of_int
                            expected.Cf_mincomm.Mincomm.estimate
                              .Cf_mincomm.Mincomm.messages)))));
+    Alcotest.test_case "cache off: the worker's canonical form keys replies"
+      `Quick (fun () ->
+        let config = { Server.default_config with Server.cache = None } in
+        with_server ~config "nocache" (fun sock server ->
+            match Client.connect_unix sock with
+            | Error msg -> Alcotest.fail msg
+            | Ok c ->
+              Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
+                  let renamed =
+                    Cf_cache.Canon.rename ~index:(fun v -> v ^ "w")
+                      ~array:(fun a -> a ^ "W") l1
+                  in
+                  List.iter
+                    (fun (name, nest) ->
+                      let reply = ok_or_fail name (Client.plan c (render nest)) in
+                      check_bool (name ^ " misses") false
+                        (bool_field "cache_hit" reply);
+                      check_string (name ^ " digest")
+                        (Cf_cache.Canon.digest l1) (str_field "digest" reply))
+                    [ ("l1", l1); ("renamed l1", renamed) ];
+                  let serve () =
+                    ok_or_fail "plan_serve chain"
+                      (Client.plan ~serve:true c chain_src)
+                  in
+                  let a = serve () and b = serve () in
+                  check_string "fallback tier" "fallback" (str_field "tier" a);
+                  check_string "same origin" (str_field "origin" a)
+                    (str_field "origin" b);
+                  check_int "every fallback planned" 2
+                    (counter server "server.fallback_planned"))));
+    Alcotest.test_case "concurrent renamed plan_serve plans one fallback"
+      `Quick (fun () ->
+        (* Eight callers, eight namings of one rejected nest, four worker
+           domains: one fallback is planned, each reply names its own
+           caller's arrays (under radius 0 L5's choice is psi[C]). *)
+        let config =
+          { Server.default_config with Server.domains = Some 4;
+            admit_capacity = 64 }
+        in
+        let nest = Cf_loop.Parse.nest l5_src in
+        let renamed k =
+          Cf_cache.Canon.rename
+            ~index:(fun v -> Printf.sprintf "%s%d" v k)
+            ~array:(fun a -> Printf.sprintf "%s_%d" a k)
+            nest
+        in
+        with_server ~config "fallback-flight" (fun sock server ->
+            let ready = Atomic.make 0 in
+            let replies = Array.make 8 (Error "not run") in
+            let ask k =
+              match Client.connect_unix sock with
+              | Error msg -> replies.(k) <- Error msg
+              | Ok c ->
+                Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
+                    Atomic.incr ready;
+                    while Atomic.get ready < 8 do
+                      Thread.yield ()
+                    done;
+                    replies.(k) <-
+                      Client.plan ~serve:true ~search_radius:0 c
+                        (render (renamed k)))
+            in
+            List.iter Thread.join (List.init 8 (Thread.create ask));
+            Array.iteri
+              (fun k r ->
+                let reply = ok_or_fail (Printf.sprintf "caller %d" k) r in
+                check_string "fallback tier" "fallback" (str_field "tier" reply);
+                check_string "origin names the caller's array"
+                  (Printf.sprintf "psi[C_%d]" k)
+                  (str_field "origin" reply))
+              replies;
+            check_int "one fallback planned" 1
+              (counter server "server.fallback_planned");
+            check_int "eight fallbacks served" 8
+              (counter server "server.fallback_served")));
     Alcotest.test_case "protocol errors surface with codes" `Quick (fun () ->
         with_server "errors" (fun sock _server ->
             (* Raw socket: skip the client's automatic handshake. *)
@@ -716,23 +873,44 @@ let e2e_cases =
         let config =
           { Server.default_config with Server.journal = Some journal }
         in
-        with_server ~config "restart1" (fun sock _server ->
-            match Client.connect_unix sock with
-            | Error msg -> Alcotest.fail msg
-            | Ok c ->
-              Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
-                  List.iter
-                    (fun (_, nest) ->
-                      ignore (ok_or_fail "seed plan" (Client.plan c (render nest))))
-                    all_paper_loops));
+        let served = [ ("l5", l5_src); ("chain", chain_src) ] in
+        let before =
+          with_server ~config "restart1" (fun sock _server ->
+              match Client.connect_unix sock with
+              | Error msg -> Alcotest.fail msg
+              | Ok c ->
+                Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
+                    List.iter
+                      (fun (_, nest) ->
+                        ignore
+                          (ok_or_fail "seed plan" (Client.plan c (render nest))))
+                      all_paper_loops;
+                    List.map
+                      (fun (name, src) ->
+                        ok_or_fail name (Client.plan ~serve:true c src))
+                      served))
+        in
+        (* A record as written before entries carried fallbacks: it
+           replays as an exact-only entry. *)
+        let chain = Cf_loop.Parse.nest chain_src in
+        let canonical = Cf_cache.Canon.canonicalize chain in
+        let j, _ = Journal.open_ journal in
+        Journal.append j
+          (Json.to_string
+             (Json.Obj
+                [
+                  ("digest", Json.Str canonical.Cf_cache.Canon.digest);
+                  ("strategy", Json.Str "duplicate");
+                  ("nest", Json.Str (render canonical.Cf_cache.Canon.nest));
+                ]));
+        Journal.close j;
+        let records = List.length all_paper_loops + List.length served + 1 in
         (* A brand-new server process (fresh service, fresh cache) on the
            same journal must serve every digest as a hit immediately. *)
         with_server ~config "restart2" (fun sock server ->
             let r = Server.replay_report server in
-            check_int "every plan replayed" (List.length all_paper_loops)
-              r.Server.entries;
-            check_int "every plan re-warmed" (List.length all_paper_loops)
-              r.Server.warmed;
+            check_int "every plan replayed" records r.Server.entries;
+            check_int "every plan re-warmed" records r.Server.warmed;
             check_int "no bad entries" 0 r.Server.bad_entries;
             check_bool "clean tail" false r.Server.truncated;
             match Client.connect_unix sock with
@@ -748,7 +926,33 @@ let e2e_cases =
                         (Printf.sprintf "%s hits after restart" name)
                         true
                         (bool_field "cache_hit" reply))
-                    all_paper_loops)));
+                    all_paper_loops;
+                  List.iter2
+                    (fun (name, src) old ->
+                      let reply =
+                        ok_or_fail name (Client.plan ~serve:true c src)
+                      in
+                      check_bool (name ^ " serve hits after restart") true
+                        (bool_field "cache_hit" reply);
+                      check_string (name ^ " fallback tier") "fallback"
+                        (str_field "tier" reply);
+                      check_string (name ^ " origin") (str_field "origin" old)
+                        (str_field "origin" reply);
+                      check_bool (name ^ " predicted messages") true
+                        (field "predicted_messages" old
+                        = field "predicted_messages" reply))
+                    served before;
+                  check_int "no fallback replanned" 0
+                    (counter server "server.fallback_planned");
+                  let old_format =
+                    ok_or_fail "old-format record"
+                      (Client.plan ~serve:true
+                         ~strategy:Cf_core.Strategy.Duplicate c chain_src)
+                  in
+                  check_bool "old-format entry is warm" true
+                    (bool_field "cache_hit" old_format);
+                  check_int "its fallback is planned on demand" 1
+                    (counter server "server.fallback_planned"))));
     Alcotest.test_case "a journal of distinct keys is not recompacted"
       `Quick (fun () ->
         (* Every record has its own key, so compaction cannot bring the

@@ -582,9 +582,183 @@ let single_flight_cases =
           | exception Invalid_argument _ -> true));
   ]
 
+(* {2 The cached fallback tier}
+
+   A [serve] request of a theorem-rejected nest gets the canonical
+   nest's fallback plan, relabeled: computed once per cache entry inside
+   the worker, identical on hit and miss. *)
+
+module M = Cf_mincomm.Mincomm
+module Pipeline = Cf_pipeline.Pipeline
+
+let same_candidate (a : M.candidate) (b : M.candidate) =
+  String.equal a.M.origin b.M.origin && a.M.space = b.M.space
+
+(* Bit for bit, down to the ranking and the per-block volumes. *)
+let same_fallback (a : M.t) (b : M.t) =
+  a.M.nest == b.M.nest && a.M.nprocs = b.M.nprocs
+  && a.M.theorems = b.M.theorems && a.M.comm_free = b.M.comm_free
+  && same_candidate a.M.choice b.M.choice
+  && a.M.estimate = b.M.estimate
+  && List.equal
+       (fun (c, e) (c', e') -> same_candidate c c' && e = e')
+       a.M.ranked b.M.ranked
+  && Cf_core.Iter_partition.nest a.M.partition == a.M.nest
+  && Cf_core.Iter_partition.nest b.M.partition == b.M.nest
+  && Cf_core.Iter_partition.blocks a.M.partition
+     = Cf_core.Iter_partition.blocks b.M.partition
+
+let cold_serve ~strategy nest =
+  match Pipeline.plan_serve ~strategy ~nprocs:4 nest with
+  | p -> Some (Pipeline.fallback_of p)
+  | exception Invalid_argument _ -> None
+
+(* One nest under one strategy and its renamings, each asked twice
+   (miss, then hits): every answer is [Mincomm.relabel] of the canonical
+   nest's cold fallback, and predicts what a cold plan of the renamed
+   nest predicts.  Returns how many fallbacks the service planned. *)
+let check_fallback_tier svc ~name ~strategy nest renamings =
+  let c = Cf_cache.Canon.canonicalize nest in
+  let canonical = cold_serve ~strategy c.Cf_cache.Canon.nest in
+  let planned = ref 0 in
+  List.iteri
+    (fun k r ->
+      let what = Printf.sprintf "%s/%s renaming %d" name
+          (Cf_core.Strategy.to_string strategy) k in
+      let ask () = Service.plan_one ~strategy ~serve:4 svc r in
+      let first = ask () in
+      let again = ask () in
+      match (canonical, first, again) with
+      | None, Service.Failed _, Service.Failed _ -> ()
+      | Some None, Service.Done a, Service.Done b ->
+        if a.Service.fallback <> None || b.Service.fallback <> None then
+          Alcotest.failf "%s: an exact plan carries a fallback" what
+      | Some (Some mc), Service.Done a, Service.Done b -> (
+        if a.Service.fallback_planned then incr planned;
+        check_bool (what ^ ": second ask hits") true b.Service.cache_hit;
+        check_bool (what ^ ": second ask plans nothing") false
+          b.Service.fallback_planned;
+        match (a.Service.fallback, b.Service.fallback, cold_serve ~strategy r) with
+        | Some fa, Some fb, Some (Some cold) ->
+          let expected = M.relabel mc r in
+          check_bool (what ^ ": relabeled canonical fallback") true
+            (same_fallback fa expected);
+          check_bool (what ^ ": hit equals miss") true (same_fallback fa fb);
+          check_int (what ^ ": volume") cold.M.estimate.M.messages
+            fa.M.estimate.M.messages;
+          check_int (what ^ ": dimension")
+            (Cf_linalg.Subspace.dim cold.M.choice.M.space)
+            (Cf_linalg.Subspace.dim fa.M.choice.M.space);
+          check_bool (what ^ ": servable") (M.servable cold) (M.servable fa)
+        | _ -> Alcotest.failf "%s: fallback missing" what)
+      | _, o, _ ->
+        Alcotest.failf "%s: unexpected outcome %a" what Service.pp_outcome o)
+    renamings;
+  !planned
+
+let root =
+  let exe_dir = Filename.dirname Sys.executable_name in
+  Filename.concat (Filename.concat (Filename.concat exe_dir "..") "..") ".."
+
+let fallback_cases =
+  [
+    Alcotest.test_case "hot set and 200 Gen nests: relabeled canonical fallback"
+      `Quick (fun () ->
+        let svc = Service.create ~domains:2 () in
+        let rng = Random.State.make [| 21 |] in
+        let renamings nest =
+          List.init 3 (fun _ -> Cf_perfbench.Inputs.rename rng nest)
+        in
+        let rejected = ref 0 and planned = ref 0 in
+        let run ~name ~strategy nest =
+          let n =
+            check_fallback_tier svc ~name ~strategy nest (renamings nest)
+          in
+          planned := !planned + n;
+          match cold_serve ~strategy nest with
+          | Some (Some _) -> incr rejected
+          | _ -> ()
+        in
+        Array.iteri
+          (fun h nest ->
+            List.iter
+              (fun strategy -> run ~name:(Printf.sprintf "hot %d" h) ~strategy nest)
+              Cf_core.Strategy.all)
+          (Cf_perfbench.Inputs.hot_set ~root);
+        for i = 0 to 199 do
+          let nest =
+            Cf_check.Gen.generate ~index:i ~seed:42
+              (Cf_check.Gen.default ~depth:(1 + (i mod 3)))
+          in
+          run ~name:(Printf.sprintf "gen %d" i)
+            ~strategy:(List.nth Cf_core.Strategy.all (i mod 4))
+            nest
+        done;
+        check_bool (Printf.sprintf "%d rejected keys exercised" !rejected)
+          true (!rejected >= 50);
+        check_int "one fallback planned per rejected key" !rejected !planned;
+        Service.shutdown svc);
+    Alcotest.test_case "the queue covers fallback planning" `Quick (fun () ->
+        (* Theorem 1 rejects matmul; its fallback costs tens of ms while
+           the exact plan, cached first, costs nothing. *)
+        let nest = Cf_exec.Matmul.nest ~m:14 in
+        let svc = Service.create ~domains:1 () in
+        (match Service.plan_one svc nest with
+        | Service.Done c ->
+          check_int "rejected" 0 (Pipeline.parallelism c.Service.plan)
+        | o -> Alcotest.failf "warm-up: %a" Service.pp_outcome o);
+        let t0 = Unix.gettimeofday () in
+        ignore (M.plan ~nprocs:4 nest);
+        let fallback_s = Unix.gettimeofday () -. t0 in
+        let slow = Service.submit ~serve:4 svc nest in
+        check_bool "worker busy with the fallback" true
+          (wait_until (fun () -> (Service.stats svc).Service.in_flight = 1));
+        let next = Service.submit ~timeout:(fallback_s /. 10.) svc l1 in
+        (match Service.await slow with
+        | Service.Done c ->
+          check_bool "exact plan was a hit" true c.Service.cache_hit;
+          check_bool "fallback planned in the worker" true
+            c.Service.fallback_planned
+        | o -> Alcotest.failf "slow job: %a" Service.pp_outcome o);
+        (match Service.await next with
+        | Service.Timed_out -> ()
+        | o ->
+          Alcotest.failf "expected a timeout behind %.1fms of fallback, got %a"
+            (1e3 *. fallback_s) Service.pp_outcome o);
+        Service.shutdown svc);
+    Alcotest.test_case "a cached answer does not wait for a fallback fill"
+      `Quick (fun () ->
+        (* One domain fills matmul's fallback into its cached entry; a
+           plain [plan] of the same key meanwhile is an immediate hit. *)
+        let nest = Cf_exec.Matmul.nest ~m:14 in
+        let t0 = Unix.gettimeofday () in
+        ignore (M.plan ~nprocs:4 nest);
+        let fallback_s = Unix.gettimeofday () -. t0 in
+        let planner = Planner.create () in
+        ignore (Planner.plan planner nest);
+        let started = Atomic.make false and filled = Atomic.make false in
+        let filler =
+          Domain.spawn (fun () ->
+              Atomic.set started true;
+              let a = Planner.plan ~serve:4 planner nest in
+              Atomic.set filled true;
+              a.Planner.fallback_planned)
+        in
+        while not (Atomic.get started) do
+          Domain.cpu_relax ()
+        done;
+        Unix.sleepf (fallback_s /. 10.);
+        let a = Planner.plan planner nest in
+        let waited = Atomic.get filled in
+        check_bool "the filler planned the fallback" true (Domain.join filler);
+        check_bool "plain plan hit" true a.Planner.hit;
+        check_bool "plain plan returned before the fill landed" false waited);
+  ]
+
 let suites =
   [
     ("service-determinism", deterministic_cases);
+    ("service-fallback", fallback_cases);
     ("service-single-flight", single_flight_cases);
     ("service-pressure", pressure_cases);
     ("service-lifecycle", lifecycle_cases);
