@@ -157,16 +157,15 @@ let analyze_run level file strategy radius normalize =
           if not (Cf_pipeline.Diagnose.usable issues) then
             Format.printf "analysis skipped: the nest violates the model@."
           else begin
-            let plan =
-              Cf_pipeline.Pipeline.plan ~strategy ?search_radius:radius nest
-            in
+            let facts = Cf_core.Facts.make ?search_radius:radius nest in
+            let plan = Cf_pipeline.Pipeline.plan_of_facts ~strategy facts in
             Format.printf "%a@." Cf_pipeline.Pipeline.describe plan;
             Format.printf "communication-free verified: %b@."
               (Cf_pipeline.Pipeline.verified plan);
             (* A rejected nest still gets a plan: report which theorem
                failed and what the communication-minimal tier chose. *)
             if Cf_pipeline.Pipeline.parallelism plan = 0 then begin
-              let mc = Cf_mincomm.Mincomm.plan ?search_radius:radius nest in
+              let mc = Cf_mincomm.Mincomm.plan_of_facts facts in
               List.iter
                 (fun i -> Format.printf "%a@." Cf_pipeline.Diagnose.pp_issue i)
                 (Cf_pipeline.Diagnose.explain_fallback mc);

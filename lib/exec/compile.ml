@@ -1036,29 +1036,39 @@ let run_fuse_c222 op1 op2 ~r0 ~r1 ~r2 ~w ~k =
         else generic_run k x ~q ~step ~count)
   | _ -> None
 
-let bind_run ?keep ?on_write ~scalar ~target t =
-  let k = bind ?keep ?on_write ~scalar ~target t in
-  match (keep, on_write, t.stmts) with
-  | None, None, [| sp |] -> (
-    let specialized =
+let bind_run ?keep ~scalar ~target t =
+  (* A lone all-rank-2 [L := r op1 (s op2 t)] over flat views takes the
+     fused kernel {!bind} would build and its run kernel, both from one
+     set of accessors. *)
+  let fused =
+    match (keep, t.stmts) with
+    | None, [| sp |] -> (
       match sp.stmt.Stmt.rhs with
       | Expr.Binop
-          (op1, Expr.Read _, Expr.Binop (op2, Expr.Read _, Expr.Read _)) -> (
-        match
-          ( racc_of target sp.reads.(0),
-            racc_of target sp.reads.(1),
-            racc_of target sp.reads.(2),
-            wacc_of target sp.lhs )
-        with
-        | Some r0, Some r1, Some r2, Some w ->
-          run_fuse_c222 op1 op2 ~r0 ~r1 ~r2 ~w ~k
-        | _ -> None)
-      | _ -> None
-    in
-    match specialized with
-    | Some rk -> (k, rk)
-    | None -> (k, generic_run k))
-  | _ -> (k, generic_run k)
+          (op1, Expr.Read _, Expr.Binop (op2, Expr.Read _, Expr.Read _))
+        when Site.rank sp.lhs = 2
+             && Array.for_all (fun s -> Site.rank s = 2) sp.reads -> (
+        match wacc_of target sp.lhs with
+        | None -> None
+        | Some w -> (
+          let r i = racc_of target sp.reads.(i) in
+          match (r 0, r 1, r 2) with
+          | Some r0, Some r1, Some r2 -> (
+            match fuse_c222 op1 op2 ~r0 ~r1 ~r2 ~w with
+            | Some k ->
+              Option.map
+                (fun rk -> (k, rk))
+                (run_fuse_c222 op1 op2 ~r0 ~r1 ~r2 ~w ~k)
+            | None -> None)
+          | _ -> None))
+      | _ -> None)
+    | _ -> None
+  in
+  match fused with
+  | Some kernels -> kernels
+  | None ->
+    let k = bind ?keep ~scalar ~target t in
+    (k, generic_run k)
 
 (* The innermost level's interval is one run: its bounds mention only
    outer indices, so each compiled bound reads positions the walker has

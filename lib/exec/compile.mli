@@ -133,14 +133,13 @@ val bind :
     evaluate left to right exactly as {!Cf_loop.Expr.eval} does, so a
     faulting access faults on the same element; [Div] is OCaml [( / )]
     — truncation toward zero, raising [Division_by_zero] — matching the
-    interpreter bit for bit.  [on_write] (validation bookkeeping)
-    receives the lhs element in scratch that must not be retained; when
-    absent, rank-1/rank-2 writes skip element materialization
-    entirely. *)
+    interpreter bit for bit.  [on_write] (the write log of the
+    [Cf_check.Refexec] reference) receives the lhs element in scratch
+    that must not be retained; when absent, rank-1/rank-2 writes skip
+    element materialization entirely and the fused shapes apply. *)
 
 val bind_run :
   ?keep:(stmt_index:int -> int array -> bool) ->
-  ?on_write:(stmt_index:int -> iter:int array -> el:int array -> int -> unit) ->
   scalar:(string -> int) ->
   target:target ->
   program ->

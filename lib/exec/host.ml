@@ -430,3 +430,167 @@ let gather t slot fp =
            ~volume:(Array.fold_left sat_mul 1 (box_extents fp))
     in
     Some (if flat then gather_flat t slot fp else gather_sparse t slot fp)
+
+(* {2 Sequentially-last writers}
+
+   Per written cell of a host array: the largest stamp any block's kept
+   left-hand site writes there and the block holding it, then the value
+   that block leaves in its own copy.  Flat host arrays index cells by
+   host offset; table arrays number them on first sight. *)
+
+type wslot = {
+  mutable stamp : int array;  (* largest stamp so far, min_int for none *)
+  mutable owner : int array;  (* the block holding it, 0 for none *)
+  mutable value : int array;  (* what the owner's copy held *)
+  mutable got : Bytes.t;  (* value captured *)
+  cells : (int, int) Hashtbl.t;  (* table arrays: packed key -> cell *)
+  mutable keys : int array;  (* table arrays: cell -> packed key *)
+}
+
+type writers = {
+  host : t;
+  slots : wslot option array;
+  mutable starts : int array;  (* block b's cells: [starts.(b), starts.(b+1)) *)
+  mutable entries : int array;  (* (slot, cell) pairs, block by block *)
+}
+
+let writers host =
+  { host; slots = Array.map (fun _ -> None) host.arrs; starts = [||];
+    entries = [||] }
+
+let wslot w slot =
+  match w.slots.(slot) with
+  | Some ws -> ws
+  | None ->
+    let n, keys =
+      match w.host.arrs.(slot) with
+      | Box b -> (Array.length b.data, [||])
+      | Table _ -> (64, Array.make 64 0)
+    in
+    let ws =
+      { stamp = Array.make n min_int; owner = Array.make n 0;
+        value = Array.make n 0; got = Bytes.make n '\000';
+        cells = Hashtbl.create (Array.length keys); keys }
+    in
+    w.slots.(slot) <- Some ws;
+    ws
+
+let grow a n fill =
+  let b = Array.make n fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let table_cell ws key =
+  match Hashtbl.find_opt ws.cells key with
+  | Some c -> c
+  | None ->
+    let c = Hashtbl.length ws.cells in
+    if c = Array.length ws.keys then begin
+      let n = 2 * c in
+      ws.stamp <- grow ws.stamp n min_int;
+      ws.owner <- grow ws.owner n 0;
+      ws.value <- grow ws.value n 0;
+      ws.keys <- grow ws.keys n 0;
+      ws.got <- Bytes.extend ws.got 0 c;
+      Bytes.fill ws.got c c '\000'
+    end;
+    Hashtbl.add ws.cells key c;
+    ws.keys.(c) <- key;
+    c
+
+let claim ws cell st block =
+  if st > Array.unsafe_get ws.stamp cell then begin
+    Array.unsafe_set ws.stamp cell st;
+    Array.unsafe_set ws.owner cell block
+  end
+
+let add_writes w slot e d ~count ~stamp ~dstamp ~block =
+  let ws = wslot w slot in
+  let r = Array.length e in
+  let standing = ref true in
+  for p = 0 to r - 1 do
+    if d.(p) <> 0 then standing := false
+  done;
+  if !standing then begin
+    (* One cell, written at every step: only the largest stamp counts. *)
+    let st = if dstamp > 0 then stamp + ((count - 1) * dstamp) else stamp in
+    match w.host.arrs.(slot) with
+    | Box { lo; extents; strides; _ } ->
+      claim ws (offset ~lo ~extents ~strides e) st block
+    | Table _ -> claim ws (table_cell ws (Machine.pack_coords e)) st block
+  end
+  else
+    match w.host.arrs.(slot) with
+    | Box { lo; extents; strides; _ } ->
+      let o = offset ~lo ~extents ~strides e in
+      let dO = ref 0 in
+      for p = 0 to r - 1 do
+        dO := !dO + (d.(p) * strides.(p))
+      done;
+      for t = 0 to count - 1 do
+        claim ws (o + (t * !dO)) (stamp + (t * dstamp)) block
+      done
+    | Table _ ->
+      let el = Array.copy e in
+      for t = 0 to count - 1 do
+        for p = 0 to r - 1 do
+          el.(p) <- e.(p) + (t * d.(p))
+        done;
+        claim ws (table_cell ws (Machine.pack_coords el))
+          (stamp + (t * dstamp)) block
+      done
+
+let settle w ~blocks =
+  let starts = Array.make (blocks + 2) 0 in
+  let each f =
+    Array.iteri
+      (fun slot -> function
+        | None -> ()
+        | Some ws ->
+          Array.iteri (fun cell b -> if b > 0 then f slot cell b) ws.owner)
+      w.slots
+  in
+  each (fun _ _ b -> starts.(b + 1) <- starts.(b + 1) + 1);
+  for b = 1 to blocks + 1 do
+    starts.(b) <- starts.(b) + starts.(b - 1)
+  done;
+  let entries = Array.make (2 * starts.(blocks + 1)) 0 in
+  let next = Array.sub starts 0 (blocks + 1) in
+  each (fun slot cell b ->
+      let k = next.(b) in
+      entries.(2 * k) <- slot;
+      entries.((2 * k) + 1) <- cell;
+      next.(b) <- k + 1);
+  w.starts <- starts;
+  w.entries <- entries
+
+let capture w ~block read =
+  for k = w.starts.(block) to w.starts.(block + 1) - 1 do
+    let slot = w.entries.(2 * k) and cell = w.entries.((2 * k) + 1) in
+    let ws = Option.get w.slots.(slot) in
+    let el =
+      match w.host.arrs.(slot) with
+      | Box { lo; extents; _ } -> coords ~lo ~extents cell
+      | Table _ -> Machine.unpack_coords ws.keys.(cell)
+    in
+    match read slot el with
+    | Some v ->
+      ws.value.(cell) <- v;
+      Bytes.unsafe_set ws.got cell '\001'
+    | None -> ()
+  done
+
+let captured w slot packed =
+  match w.slots.(slot) with
+  | None -> None
+  | Some ws ->
+    let cell =
+      match w.host.arrs.(slot) with
+      | Box { lo; extents; strides; _ } -> (
+        match offset ~lo ~extents ~strides (Machine.unpack_coords packed) with
+        | off -> Some off
+        | exception Invalid_argument _ -> None)
+      | Table _ -> Hashtbl.find_opt ws.cells packed
+    in
+    Option.bind cell (fun c ->
+        if Bytes.get ws.got c <> '\000' then Some ws.value.(c) else None)

@@ -74,3 +74,48 @@ val gather : t -> int -> footprint -> Cf_machine.Machine.chunk option
     strided copy per segment — sparse otherwise.  The chunk's
     representation is exactly what {!Cf_machine.Machine.compact} would
     choose.  [None] for an empty footprint. *)
+
+(** {1 Sequentially-last writers}
+
+    What block-local validation compares the golden run against: for
+    every cell a kept left-hand site writes, the value the block holding
+    its sequentially-last write leaves in its own copy.  The executor's
+    walk over each block's coset runs records every left-hand segment
+    with its stamps ({!add_writes}); after the walk each cell has one
+    owning block ({!settle}); right after that block runs, the executor
+    copies the owned cells out of the block's copy ({!capture}). *)
+
+type writers
+
+val writers : t -> writers
+(** Empty records over the host arrays' cells. *)
+
+val add_writes :
+  writers ->
+  int ->
+  int array ->
+  int array ->
+  count:int ->
+  stamp:int ->
+  dstamp:int ->
+  block:int ->
+  unit
+(** [add_writes w slot e d ~count ~stamp ~dstamp ~block]: block [block]
+    writes element [e + t·d] of array [slot] at stamp
+    [stamp + t·dstamp], for [t < count] (a standing segment, [d = 0],
+    writes one element [count] times).  A cell keeps the block of its
+    largest stamp.  Not domain-safe: the walk is sequential. *)
+
+val settle : writers -> blocks:int -> unit
+(** Fix each cell's owner and list, per block [1 .. blocks], the cells
+    it owns.  Call once, after the last {!add_writes}. *)
+
+val capture : writers -> block:int -> (int -> int array -> int option) -> unit
+(** [capture w ~block read] records [read slot el] for every cell
+    [block] owns ([None]: nothing to record).  Blocks own disjoint
+    cells, so captures of different blocks may run on different
+    domains. *)
+
+val captured : writers -> int -> int -> int option
+(** [captured w slot packed]: the value captured for the cell with
+    packed coordinates [packed], if any. *)

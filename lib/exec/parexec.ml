@@ -37,6 +37,9 @@ let machine_target machine ~pe ~copy_aids ~name =
   let miss slot el =
     raise (Machine.Remote_access { pe; array = name slot; element = el })
   in
+  (* A bind asks for a slot's flat view once per site and fused shape;
+     the view is built once. *)
+  let flats = Array.make (Array.length copy_aids) None in
   {
     Compile.reader =
       (fun slot ->
@@ -70,20 +73,27 @@ let machine_target machine ~pe ~copy_aids ~name =
         | None -> fun x0 x1 _ -> miss slot [| x0; x1 |]);
     flat =
       (fun slot ->
-        match copy_aids.(slot) with
-        | Some aid -> (
-          match Machine.flat_view machine ~pe aid with
-          | Some (lo, extents, data, present, dirty) ->
-            Some
-              {
-                Compile.f_lo = lo;
-                f_extents = extents;
-                f_data = data;
-                f_present = present;
-                f_dirty = dirty;
-              }
-          | None -> None)
-        | None -> None);
+        match flats.(slot) with
+        | Some view -> view
+        | None ->
+          let view =
+            match copy_aids.(slot) with
+            | Some aid -> (
+              match Machine.flat_view machine ~pe aid with
+              | Some (lo, extents, data, present, dirty) ->
+                Some
+                  {
+                    Compile.f_lo = lo;
+                    f_extents = extents;
+                    f_data = data;
+                    f_present = present;
+                    f_dirty = dirty;
+                  }
+              | None -> None)
+            | None -> None
+          in
+          flats.(slot) <- Some view;
+          view);
   }
 
 (* The per-statement list of structurally distinct access sites — what
@@ -146,15 +156,19 @@ let fallback_homes ~placement partition =
    One executor, two copy rules chosen by the entry point:
 
    - [Block_local] ({!execute}, {!execute_indexed}): every block gets
-     private copies ([A#j] for block [j]) of everything its surviving
-     accesses touch, and blocks run block-major over the {!Coset} index,
-     fanned out over OCaml domains, in rounds that recover from PE
-     crashes.  Sound for communication-free partitions, where no flow
-     dependence crosses blocks; validated by merging every write by its
-     sequentially-latest stamp (with duplication a co-located replica of
-     another block may legally overwrite a local copy later in
-     wall-clock order, so reading memories after the fact would validate
-     the wrong thing).
+     private copies ([A#j] for block [j], numbered by
+     {!Machine.copy_id}) of everything its surviving accesses touch, and
+     blocks run block-major over the {!Coset} index, fanned out over
+     OCaml domains, in rounds that recover from PE crashes.  Sound for
+     communication-free partitions, where no flow dependence crosses
+     blocks.  Validated against the sequentially-last writer of every
+     written cell: the allocation walk already visits every kept
+     left-hand site, so it records which block holds each cell's
+     largest stamp, and that block's copy is read right after the block
+     runs (with duplication a co-located replica of another block may
+     legally overwrite a shared copy later in wall-clock order, so
+     reading memories after the whole run would validate the wrong
+     thing).
    - [Homes] ({!execute_fallback}): every element gets one home copy
      under its plain array name on its first-touch PE, and iterations
      run in sequential order on one domain, each on its block's PE.
@@ -169,15 +183,14 @@ let fallback_homes ~placement partition =
    mutable state by processor: a processor's blocks all run on the one
    domain that owns it ([pe mod domains]), so local memories, compute
    clocks and iteration counters are single-writer; array interning
-   happens only in the sequential allocation phase; and each domain
-   keeps its own last-writer table, merged after the join.  Per-PE state
-   is updated in ascending block-id order for any domain count, so cost
-   totals are bit-identical; the merge picks the sequentially-latest
-   stamp, which is associative and commutative; and a remote-access
-   abort reports the failure with the smallest block id — whether an
-   access faults is independent of execution order (execution never
-   adds elements to any memory), so that is exactly the fault a
-   one-domain run hits first. *)
+   happens only in the sequential allocation phase; and each written
+   cell is captured by the one block owning it, so captures from
+   different domains touch disjoint cells.  Per-PE state is updated in
+   ascending block-id order for any domain count, so cost totals are
+   bit-identical; and a remote-access abort reports the failure with
+   the smallest block id — whether an access faults is independent of
+   execution order (execution never adds elements to any memory), so
+   that is exactly the fault a one-domain run hits first. *)
 
 type copy_rule = Block_local | Homes
 
@@ -250,10 +263,13 @@ let run ~who ~rule ?(backend = `Compiled) ?(init = Seqexec.default_init)
       stmts
   in
   let base_aids = Array.map (fun a -> Machine.array_id machine a) arr_names in
+  let block_local = allocate && rule = Block_local in
+  (* Names only for a remote-access report: a block's copy is [A#id],
+     and without block-local copies every block shares the plain name. *)
   let copy_name id slot =
-    if allocate && rule = Block_local then
-      arr_names.(slot) ^ "#" ^ string_of_int id
-    else arr_names.(slot)
+    Machine.array_name machine
+      (if block_local then Machine.copy_id machine base_aids.(slot) id
+       else base_aids.(slot))
   in
   (* Each block's copy ids, recorded when its copies are placed (a slot
      the block never touches stays [None] and faults lazily under its
@@ -274,6 +290,92 @@ let run ~who ~rule ?(backend = `Compiled) ?(init = Seqexec.default_init)
     | survivors ->
       let s = Array.of_list survivors in
       s.((id - 1) mod Array.length s)
+  in
+  (* Block-local runs validate against each written cell's
+     sequentially-last writer; home copies are validated in place. *)
+  let track = validate && rule = Block_local in
+  (* A stamp is one int: the iteration's mixed-radix rank over the
+     nest's bounding box (which orders iterations lexicographically)
+     times the statement count, plus the statement index.  Along a coset
+     run it advances by [step · radix.(q)]. *)
+  let box_lo, radix =
+    if not track then ([||], [||])
+    else
+      match Nest.bounding_box nest with
+      | None -> ([||], [||])
+      | Some (lo, hi) ->
+        let n = Array.length lo in
+        let radix = Array.make n (Array.length stmts) in
+        for k = n - 2 downto 0 do
+          let ext = hi.(k + 1) - lo.(k + 1) + 1 in
+          if radix.(k + 1) > max_int / ext then
+            fail "iteration space too large to validate";
+          radix.(k) <- radix.(k + 1) * ext
+        done;
+        if radix.(0) > max_int / (hi.(0) - lo.(0) + 1) then
+          fail "iteration space too large to validate";
+        (lo, radix)
+  in
+  let stamp iter si =
+    let r = ref si in
+    for k = 0 to Array.length radix - 1 do
+      r := !r + ((iter.(k) - box_lo.(k)) * radix.(k))
+    done;
+    !r
+  in
+  let writers = if track then Some (Host.writers (Lazy.force host)) else None in
+  (* The allocation walk: a block's kept statement instances, one coset
+     run at a time (one iteration where the walk cannot batch or [keep]
+     filters instances).  With block-local copies every distinct access
+     site adds one strided segment to the block's footprint; under
+     validation the left-hand site (each statement's first) also records
+     its stamps.  This phase is sequential, so scratch is shared. *)
+  let sites = distinct_sites prog in
+  let scratch = Compile.scratch sites in
+  let deltas = Compile.scratch sites in
+  let fps = Array.init nslots (fun _ -> Host.footprint ()) in
+  let walking = ref 0 in
+  let record si x ~q ~step ~count =
+    let ss = sites.(si) in
+    let last = if block_local then Array.length ss - 1 else 0 in
+    for i = 0 to last do
+      let s = ss.(i) in
+      let e = scratch.(si).(i) and d = deltas.(si).(i) in
+      Compile.Site.eval_into s x e;
+      for p = 0 to Array.length d - 1 do
+        d.(p) <- step * s.Compile.Site.h.(p).(q)
+      done;
+      let slot = s.Compile.Site.slot in
+      if block_local then Host.add fps.(slot) e d ~count;
+      match writers with
+      | Some w when i = 0 ->
+        Host.add_writes w slot e d ~count ~stamp:(stamp x si)
+          ~dstamp:(step * radix.(q)) ~block:!walking
+      | _ -> ()
+    done
+  in
+  let one x =
+    for si = 0 to Array.length sites - 1 do
+      if keep ~stmt_index:si x then record si x ~q:0 ~step:0 ~count:1
+    done
+  in
+  let run x ~q ~step ~count =
+    match keep_opt with
+    | None ->
+      for si = 0 to Array.length sites - 1 do
+        record si x ~q ~step ~count
+      done
+    | Some _ ->
+      let x0 = x.(q) in
+      for t = 0 to count - 1 do
+        x.(q) <- x0 + (t * step);
+        one x
+      done;
+      x.(q) <- x0
+  in
+  let walk id =
+    walking := id;
+    Coset.iter_block_runs coset ~id ~run one
   in
   (* Allocation: build each copy as the chunk it will live in, then
      place it — as one pipelined host message per copy when distribution
@@ -309,54 +411,16 @@ let run ~who ~rule ?(backend = `Compiled) ?(init = Seqexec.default_init)
           per_pe)
       homes
   | Block_local when allocate ->
-    (* A block's copy set, one footprint per array: every surviving
-       access site contributes one strided segment per coset run (the
-       runs the kernels execute), or one element per iteration where
-       the walk cannot batch or [keep] filters statement instances.
-       This phase is sequential, so scratch is shared. *)
+    (* A block's copy set, one footprint per array, gathered out of the
+       host arrays. *)
     let host = Lazy.force host in
-    let sites = distinct_sites prog in
-    let scratch = Compile.scratch sites in
-    let deltas = Compile.scratch sites in
-    let fps = Array.init nslots (fun _ -> Host.footprint ()) in
-    let record si x ~q ~step ~count =
-      let ss = sites.(si) in
-      for i = 0 to Array.length ss - 1 do
-        let s = ss.(i) in
-        let e = scratch.(si).(i) and d = deltas.(si).(i) in
-        Compile.Site.eval_into s x e;
-        for p = 0 to Array.length d - 1 do
-          d.(p) <- step * s.Compile.Site.h.(p).(q)
-        done;
-        Host.add fps.(s.Compile.Site.slot) e d ~count
-      done
-    in
-    let one x =
-      for si = 0 to Array.length sites - 1 do
-        if keep ~stmt_index:si x then record si x ~q:0 ~step:0 ~count:1
-      done
-    in
-    let run x ~q ~step ~count =
-      match keep_opt with
-      | None ->
-        for si = 0 to Array.length sites - 1 do
-          record si x ~q ~step ~count
-        done
-      | Some _ ->
-        let x0 = x.(q) in
-        for t = 0 to count - 1 do
-          x.(q) <- x0 + (t * step);
-          one x
-        done;
-        x.(q) <- x0
-    in
     let copies id =
       Array.iter Host.reset fps;
-      Coset.iter_block_runs coset ~id ~run one;
+      walk id;
       Array.mapi
         (fun slot fp ->
           Option.map
-            (fun chunk -> (Machine.array_id machine (copy_name id slot), chunk))
+            (fun chunk -> (Machine.copy_id machine base_aids.(slot) id, chunk))
             (Host.gather host slot fp))
         fps
     in
@@ -388,7 +452,13 @@ let run ~who ~rule ?(backend = `Compiled) ?(init = Seqexec.default_init)
       List.iter (fun (id, _) -> owner.(id - 1) <- reassign id) !deferred;
       pending := List.rev !deferred
     done
-  | Block_local -> ());
+  | Block_local ->
+    (* Caller-placed data: the walk only records left-hand stamps. *)
+    if track then
+      for id = 1 to q do
+        walk id
+      done);
+  Option.iter (fun w -> Host.settle w ~blocks:q) writers;
   if allocate then Machine.compact machine;
   if obs_on then
     Cf_obs.Trace.complete obs ~lane:Cf_obs.Trace.host_lane ~cat:"dist"
@@ -400,56 +470,10 @@ let run ~who ~rule ?(backend = `Compiled) ?(init = Seqexec.default_init)
           ("blocks", Cf_obs.Trace.Int q);
           ("charged", Cf_obs.Trace.Bool charge_distribution);
         ];
-  (* Block-local runs record every write's (iteration, statement) stamp
-     for the last-writer merge; home copies are validated in place. *)
-  let track = validate && rule = Block_local in
-  (* A stamp is one int: the iteration's mixed-radix rank over the
-     nest's bounding box (which orders iterations lexicographically)
-     times the statement count, plus the statement index. *)
-  let stamp =
-    if not track then fun _ _ -> 0
-    else
-      match Nest.bounding_box nest with
-      | None -> fun _ _ -> 0
-      | Some (lo, hi) ->
-        let n = Array.length lo in
-        let radix = Array.make n (Array.length stmts) in
-        for k = n - 2 downto 0 do
-          let ext = hi.(k + 1) - lo.(k + 1) + 1 in
-          if radix.(k + 1) > max_int / ext then
-            fail "iteration space too large to validate";
-          radix.(k) <- radix.(k + 1) * ext
-        done;
-        if radix.(0) > max_int / (hi.(0) - lo.(0) + 1) then
-          fail "iteration space too large to validate";
-        fun iter si ->
-          let r = ref si in
-          for k = 0 to n - 1 do
-            r := !r + ((iter.(k) - lo.(k)) * radix.(k))
-          done;
-          !r
-  in
-  (* One execution context per domain: its last-writer table (aid ->
-     packed element -> (stamp, value)), subscript scratch — elements
+  (* One execution context per domain: subscript scratch — elements
      live only for one access (the machine never retains them, and the
      fault path copies) — and its bound kernels. *)
   let worker () =
-    let lw : (int, (int, int * int) Hashtbl.t) Hashtbl.t = Hashtbl.create 64 in
-    let note si iter el v =
-      let baid = base_aids.(lslots.(si)) in
-      let tbl =
-        match Hashtbl.find_opt lw baid with
-        | Some t -> t
-        | None ->
-          let t = Hashtbl.create 256 in
-          Hashtbl.add lw baid t;
-          t
-      in
-      let packed = Machine.pack_coords el and st = stamp iter si in
-      match Hashtbl.find_opt tbl packed with
-      | Some (st', _) when st' > st -> ()
-      | _ -> Hashtbl.replace tbl packed (st, v)
-    in
     let scratch = Compile.scratch (Compile.sites prog) in
     (* Interpreted body: one iteration's AST walk over the interned
        machine accessors — the differential oracle for the compiled
@@ -490,8 +514,7 @@ let run ~who ~rule ?(backend = `Compiled) ?(init = Seqexec.default_init)
               let v = Expr.eval ~read ~scalar ~index sp.Compile.stmt.Stmt.rhs in
               let el = scrs.(0) in
               Compile.Site.eval_into sp.Compile.lhs iter el;
-              Machine.write_id machine ~pe (aid_of lslots.(si) el) el v;
-              if track then note si iter el v
+              Machine.write_id machine ~pe (aid_of lslots.(si) el) el v
             end)
           stmts
     in
@@ -502,24 +525,32 @@ let run ~who ~rule ?(backend = `Compiled) ?(init = Seqexec.default_init)
        bindings only change between rounds (recovery replay), and each
        round builds fresh workers, so a cached kernel never outlives its
        chunks. *)
-    let on_write =
-      if track then
-        Some (fun ~stmt_index ~iter ~el v -> note stmt_index iter el v)
-      else None
-    in
     let kcache = Array.make nprocs None in
     let kernel ~pe ~name copy_aids =
       match kcache.(pe) with
       | Some (aids, k) when aids = copy_aids -> k
       | _ ->
         let target = machine_target machine ~pe ~copy_aids ~name in
-        let k =
-          Compile.bind_run ?keep:keep_opt ?on_write ~scalar ~target prog
-        in
+        let k = Compile.bind_run ?keep:keep_opt ~scalar ~target prog in
         kcache.(pe) <- Some (copy_aids, k);
         k
     in
-    (lw, interp, kernel)
+    (interp, kernel)
+  in
+  (* Right after a block runs — before another block on its processor
+     can touch a shared plain-named copy, and before a later crash can
+     clear it — the cells it writes last are read out of its own copy.
+     A crashed block captures nothing; its replay captures on the
+     survivor. *)
+  let capture id ~pe copy_aids =
+    match writers with
+    | None -> ()
+    | Some w ->
+      Host.capture w ~block:id (fun slot el ->
+          match copy_aids.(slot) with
+          | Some aid when Machine.holds_id machine ~pe aid el ->
+            Some (Machine.read_id machine ~pe aid el)
+          | _ -> None)
   in
   (* Snapshot the distributed state: when a PE crashes mid-run, its
      block-local chunks are replayed from this checkpoint onto the
@@ -545,7 +576,7 @@ let run ~who ~rule ?(backend = `Compiled) ?(init = Seqexec.default_init)
   (* One round on domain [d]: the pending blocks of the processors with
      [pe mod dcount = d], in ascending id order. *)
   let run_domain d =
-    let lw, interp, kernel = worker () in
+    let interp, kernel = worker () in
     let remote = ref None in
     let dead_here = ref [] in
     let cur_block = ref 0 in
@@ -575,6 +606,7 @@ let run ~who ~rule ?(backend = `Compiled) ?(init = Seqexec.default_init)
                  (interp ~pe ~name copy_aids));
              let bsize = (Coset.block coset ~id).Coset.size in
              Machine.run_iterations machine ~pe bsize;
+             capture id ~pe copy_aids;
              if obs_on then
                Cf_obs.Trace.complete obs ~lane:pe ~cat:"compute" ~ts:block_t0
                  ~dur:(Machine.pe_now machine pe -. block_t0)
@@ -591,13 +623,13 @@ let run ~who ~rule ?(backend = `Compiled) ?(init = Seqexec.default_init)
        done
      with Machine.Remote_access { pe; array; element } ->
        remote := Some (!cur_block, (pe, array, element)));
-    (!remote, lw, !dead_here)
+    (!remote, !dead_here)
   in
   (* Home copies: the whole space in sequential order on this domain,
      each iteration on its block's PE, one iteration charged at a
      time. *)
   let run_sequential () =
-    let _, interp, kernel = worker () in
+    let interp, kernel = worker () in
     let aids = plain_aids in
     let name = copy_name 0 in
     let body =
@@ -621,12 +653,8 @@ let run ~who ~rule ?(backend = `Compiled) ?(init = Seqexec.default_init)
      (the dying block does not count as done).  After the join, dead
      PEs are cleared, their pending blocks replayed from the checkpoint
      onto survivors, and the next round re-executes exactly those
-     blocks.  A block's re-execution is deterministic (same iterations,
-     same initial chunk values), so last-writer entries left by a
-     partially-credited crashed block are overwritten with identical
-     stamps and values — the merge is idempotent under replay.  Each PE
-     crashes at most once, so the loop ends within nprocs + 1 rounds. *)
-  let all_lw = ref [] in
+     blocks.  Each PE crashes at most once, so the loop ends within
+     nprocs + 1 rounds. *)
   let remote = ref None in
   let run_crashed = ref [] in
   let rounds = ref 0 in
@@ -653,7 +681,7 @@ let run ~who ~rule ?(backend = `Compiled) ?(init = Seqexec.default_init)
       Cf_obs.Trace.mark obs ~lane:Cf_obs.Trace.host_lane ~cat:"exec"
         ~ts:(Machine.host_now machine) "round"
         ~args:[ ("round", Cf_obs.Trace.Int !rounds) ];
-    let results = Array.make dcount (None, Hashtbl.create 0, []) in
+    let results = Array.make dcount (None, []) in
     let spawned =
       Array.init (dcount - 1) (fun i ->
           Domain.spawn (fun () -> run_domain (i + 1)))
@@ -664,7 +692,7 @@ let run ~who ~rule ?(backend = `Compiled) ?(init = Seqexec.default_init)
        with the globally smallest block id is the sequential engine's. *)
     let round_remote =
       Array.fold_left
-        (fun acc (r, _, _) ->
+        (fun acc (r, _) ->
           match (acc, r) with
           | None, r -> r
           | acc, None -> acc
@@ -672,10 +700,9 @@ let run ~who ~rule ?(backend = `Compiled) ?(init = Seqexec.default_init)
           | acc, Some _ -> acc)
         None results
     in
-    Array.iter (fun (_, lw, _) -> all_lw := lw :: !all_lw) results;
     let new_dead =
       List.sort_uniq compare
-        (Array.fold_left (fun acc (_, _, dead) -> dead @ acc) [] results)
+        (Array.fold_left (fun acc (_, dead) -> dead @ acc) [] results)
     in
     match round_remote with
     | Some (_, fault) ->
@@ -718,7 +745,7 @@ let run ~who ~rule ?(backend = `Compiled) ?(init = Seqexec.default_init)
       end
   done;
   (* Validation walks the cells the golden run wrote, each looked up by
-     packed key in the merged last writers (or the home copies); only
+     packed key in the captured last writers (or the home copies); only
      the mismatches are sorted, into the order of the sorted golden
      bindings. *)
   let mismatches =
@@ -740,29 +767,7 @@ let run ~who ~rule ?(backend = `Compiled) ?(init = Seqexec.default_init)
                 Some (Machine.read_id machine ~pe base_aids.(slot) el)
               else None
             | None -> None)
-        | Block_local ->
-          (* The merge folds every table into the first one. *)
-          let merged =
-            match !all_lw with
-            | [] -> Hashtbl.create 1
-            | first :: rest ->
-              List.iter
-                (Hashtbl.iter (fun aid tbl ->
-                     match Hashtbl.find_opt first aid with
-                     | None -> Hashtbl.replace first aid tbl
-                     | Some dst ->
-                       Hashtbl.iter
-                         (fun packed (st, v) ->
-                           match Hashtbl.find_opt dst packed with
-                           | Some (st', _) when st' > st -> ()
-                           | _ -> Hashtbl.replace dst packed (st, v))
-                         tbl))
-                rest;
-              first
-          in
-          fun slot packed ->
-            Option.bind (Hashtbl.find_opt merged base_aids.(slot)) (fun tbl ->
-                Option.map snd (Hashtbl.find_opt tbl packed))
+        | Block_local -> Host.captured (Option.get writers)
       in
       let bad = ref [] in
       Host.iter_written golden (fun slot packed expected ->

@@ -11,11 +11,14 @@
       block-major, touching only local memory — a remote access aborts
       the run, the executable form of "communication-free".  Blocks fan
       out over OCaml domains, and PE crashes are recovered in rounds.
-      Validation merges every write by its sequentially-latest stamp
-      (under duplication a co-located replica of a sequentially-earlier
-      write may overwrite a local copy later in wall-clock order — a
-      cross-block output dependence that replication legitimately
-      absorbs).
+      Validation compares every written cell with the value its
+      sequentially-last writer left: the allocation walk records which
+      block holds each cell's largest stamp, and that block's copy is
+      read right after the block runs (under duplication a co-located
+      replica of a sequentially-earlier write may overwrite a shared
+      copy later in wall-clock order — a cross-block output dependence
+      that replication legitimately absorbs).  Kernels bind with no
+      per-write hook.
     - {b first-touch home copies} ({!execute_fallback}): each element
       gets one home copy, and iterations run in sequential order, each
       on its block's processor.  This is how communication-minimal
@@ -55,7 +58,8 @@ type report = {
   remote_access : (int * string * int array) option;
     (** Some (pe, array, element): the run was NOT communication-free. *)
   mismatches : (string * int array * int option * int option) list;
-    (** element, sequential value, merged parallel value; empty = correct *)
+    (** element, sequential value, captured parallel value; empty =
+        correct *)
   per_pe_iterations : int array;
   recovery : recovery option;
     (** Present iff the machine carries a fault plan (block-local
@@ -109,20 +113,34 @@ val execute_indexed :
     pipelined host message per block-local copy
     ({!Cf_machine.Machine.host_send_chunk}), in block-id then array
     order — a generic scatter, giving a full makespan (distribution +
-    compute) for any plan.  [~validate:false] skips the sequential
-    golden run and the last-writer merge — [mismatches] is then always
-    empty and the report only certifies communication freedom, not value
-    correctness (used for throughput measurements).
+    compute) for any plan.  Block [j]'s copy of array [A] is named
+    [A#j] ({!Cf_machine.Machine.copy_id}: a number, named only in
+    reports and traces).  [~validate:false] skips the last-writer
+    record, the per-block captures and the sequential golden run —
+    [mismatches] is then always empty and the report only certifies
+    communication freedom, not value correctness (used for throughput
+    measurements).
 
     Allocation reads initial values from {!Host} arrays — [init] runs
     at most once per distinct element the surviving accesses reach —
     and gathers each copy set along the block's coset runs straight
     into the chunk it will live in, flat or sparse by the
-    {!Cf_machine.Machine.flat_worthy} policy.  Validation runs
-    {!Seqexec.golden} over a copy of the same host arrays and compares
-    every cell it wrote, by packed key, with the sequentially-latest
-    write the blocks made; [mismatches] lists the differing cells
-    sorted by array name, then element.
+    {!Cf_machine.Machine.flat_worthy} policy, which gives one-element
+    copies a flat buffer too.  The same walk records, for every cell a
+    kept left-hand site writes, the block holding its largest
+    (iteration, statement) stamp ({!Host.add_writes}) — with
+    [allocate:false] the walk records only that.  Right after a block's
+    iterations are charged, the cells it owns are read out of its own
+    copy ({!Host.capture}): before any other block on its processor
+    runs, so under [allocate:false] a shared plain-named copy still
+    holds the block's own last write, and before a later crash can
+    clear it.  A crashed block captures nothing; its replay captures on
+    the survivor.  A cell the block's processor does not hold (a write
+    serviced to another PE in [`Service] mode) reads as missing.
+    Validation runs {!Seqexec.golden} over a copy of the same host
+    arrays and compares every cell it wrote, by packed key, with the
+    captured value; [mismatches] lists the differing cells sorted by
+    array name, then element.
 
     Local memories are compacted after allocation and blocks run on
     [domains] OCaml domains (default
@@ -153,7 +171,7 @@ val execute_indexed :
     pending blocks are reassigned over the surviving PEs by the same
     cyclic rule, lost chunks are replayed from the checkpoint as charged
     host messages, and the next round re-executes exactly the lost
-    blocks.  Replay is deterministic, so the merged result — and hence
+    blocks.  Replay is deterministic, so the captured result — and hence
     [mismatches] against the sequential golden run — is identical to the
     fault-free run's.  Raises [Invalid_argument] when every processor
     crashes.

@@ -140,15 +140,35 @@ let iterations t =
   iter_space t (fun i -> acc := i :: !acc);
   List.rev !acc
 
-let cardinal t =
-  let c = ref 0 in
-  iter_space t (fun _ -> incr c);
-  !c
-
 let is_rectangular t =
   Array.for_all
     (fun l -> Affine.is_constant l.lower && Affine.is_constant l.upper)
     t.levels
+
+(* A rectangular space is the product of its levels' extents (0 when any
+   level is empty, saturating at [max_int]); other spaces are counted by
+   enumeration. *)
+let cardinal t =
+  if is_rectangular t then begin
+    let extent l =
+      let lo = Affine.constant_part l.lower and hi = Affine.constant_part l.upper in
+      if hi < lo then 0
+      else
+        let d = hi - lo in
+        if d < 0 || d = max_int then max_int else d + 1
+    in
+    let extents = Array.map extent t.levels in
+    if Array.exists (fun e -> e = 0) extents then 0
+    else
+      Array.fold_left
+        (fun acc e -> if e > max_int / acc then max_int else acc * e)
+        1 extents
+  end
+  else begin
+    let c = ref 0 in
+    iter_space t (fun _ -> incr c);
+    !c
+  end
 
 let extent_halfwidths t =
   if is_rectangular t then

@@ -45,7 +45,11 @@ val iter_space : t -> (int array -> unit) -> unit
     level yield no iterations below them. *)
 
 val iterations : t -> int array list
+
 val cardinal : t -> int
+(** The number of iterations.  O(depth) for rectangular nests — the
+    product of the level extents, 0 when any level is empty, saturating
+    at [max_int]; other nests are enumerated. *)
 
 val mem : t -> int array -> bool
 (** [mem t iter] decides membership of [iter] in the iteration space by

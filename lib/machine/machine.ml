@@ -17,6 +17,14 @@ type event =
   | Multicast of { pes : int list; array : string; size : int }
   | Resend of { pe : int; array : string; size : int }
 
+(* The trace as recorded: array ids, named only when {!trace} is read,
+   so a distribution of many block copies builds no names. *)
+type sent =
+  | Sent of { pe : int; aid : int; size : int }
+  | Broadcast_sent of { aid : int; size : int }
+  | Multicast_sent of { pes : int list; aid : int; size : int }
+  | Resent of { pe : int; aid : int; size : int }
+
 (* Local memories avoid the polymorphic hash entirely: array names are
    interned to dense ints once, element coordinates are packed into a
    single tagged int, and every Hashtbl in the hot path is keyed by
@@ -100,7 +108,7 @@ type t = {
   mutable retries : int;
   mutable dropped : int;
   mutable corrupted : int;
-  mutable events : event list;  (* reverse issue order *)
+  mutable events : sent list;  (* newest first *)
   mutable obs : Cf_obs.Trace.t;
   journal : jentry array;  (* per PE, reset at every delta capture *)
   mutable chain : chain option;  (* live delta chain, if any *)
@@ -159,13 +167,44 @@ let check_pe m pe =
   if pe < 0 || pe >= Topology.size m.topology then
     invalid_arg "Machine: processor rank out of range"
 
-(* {2 Interning and coordinate packing} *)
+(* {2 Interning and coordinate packing}
 
-let array_id m a =
+   Plain names are interned to dense ids below [copy_base].  Block
+   [j]'s copy of array [aid] (named [A#j]) needs no entry: its id is
+   [j · copy_base + aid], so copies cost neither a string nor a table
+   entry, and every copy name maps back to the same id on sight. *)
+
+let copy_bits = 24
+let copy_base = 1 lsl copy_bits
+let max_block = max_int lsr copy_bits
+
+(* [base#j] with [base] non-empty and free of ['#'], [j] a positive
+   decimal without a leading zero: the block copy [(base, j)]. *)
+let parse_copy a =
+  match String.index_opt a '#' with
+  | None | Some 0 -> None
+  | Some i ->
+    let n = String.length a in
+    if i + 1 >= n || a.[i + 1] = '0' then None
+    else begin
+      let j = ref 0 and ok = ref true in
+      for k = i + 1 to n - 1 do
+        match a.[k] with
+        | '0' .. '9' as c when !ok ->
+          let d = Char.code c - Char.code '0' in
+          if !j > (max_block - d) / 10 then ok := false
+          else j := (!j * 10) + d
+        | _ -> ok := false
+      done;
+      if !ok then Some (String.sub a 0 i, !j) else None
+    end
+
+let intern m a =
   match Names.find_opt m.ids a with
   | Some id -> id
   | None ->
     let id = m.n_names in
+    if id >= copy_base then failwith "Machine: too many array names";
     if id = Array.length m.names then begin
       let bigger = Array.make (2 * id) "" in
       Array.blit m.names 0 bigger 0 id;
@@ -176,11 +215,28 @@ let array_id m a =
     Names.add m.ids a id;
     id
 
-let find_array_id m a = Names.find_opt m.ids a
+let copy_id m aid j =
+  if aid < 0 || aid >= m.n_names || String.contains m.names.(aid) '#' then
+    invalid_arg "Machine.copy_id: not a plain array id";
+  if j < 1 || j > max_block then invalid_arg "Machine.copy_id: block out of range";
+  (j lsl copy_bits) lor aid
+
+let array_id m a =
+  match parse_copy a with
+  | Some (base, j) -> copy_id m (intern m base) j
+  | None -> intern m a
+
+let find_array_id m a =
+  match parse_copy a with
+  | Some (base, j) ->
+    Option.map (fun aid -> copy_id m aid j) (Names.find_opt m.ids base)
+  | None -> Names.find_opt m.ids a
 
 let array_name m id =
-  if id < 0 || id >= m.n_names then invalid_arg "Machine.array_name: unknown id";
-  m.names.(id)
+  let aid = id land (copy_base - 1) in
+  if id < 0 || aid >= m.n_names then invalid_arg "Machine.array_name: unknown id";
+  if id < copy_base then m.names.(aid)
+  else m.names.(aid) ^ "#" ^ string_of_int (id lsr copy_bits)
 
 (* Coordinates pack into one int: [59/d] bits per coordinate (biased to
    admit negatives), arity in the low 3 bits so arities cannot collide.
@@ -682,13 +738,10 @@ let local_elements m ~pe =
 
 (* The flat-vs-sparse policy, shared by {!compact}'s promotion and by
    callers that build chunks off-machine: a flat buffer pays off once
-   the chunk has a few elements and fills at least an eighth of its
-   bounding box (small boxes are always worth it). *)
-let flat_min_count = 16
-
+   it fills at least an eighth of its bounding box (small boxes are
+   always worth it, a one-element chunk included). *)
 let flat_worthy ~volume ~count =
-  count >= flat_min_count && volume <= 1 lsl 24
-  && volume <= max (8 * count) 1024
+  volume <= 1 lsl 24 && volume <= max (8 * count) 1024
 
 let sparse_chunk tbl = Sparse tbl
 
@@ -707,12 +760,58 @@ let flat_chunk ~lo ~extents ~data ~present ~count =
   in
   if flat_worthy ~volume ~count then flat else Sparse (demote flat)
 
+(* The chunk {!compact} would make of an element list (a later binding
+   of an element wins), built flat straight from the list when its box
+   qualifies, so no table is built only to be promoted.  Every element
+   is packed first, which bounds each coordinate (and so the volume)
+   and raises where a table build would. *)
+let chunk_of_elements elements =
+  let n = List.length elements in
+  let sparse () =
+    let tbl = Hashtbl.create (2 * n) in
+    List.iter (fun (el, v) -> Hashtbl.replace tbl (pack_coords el) v) elements;
+    Sparse tbl
+  in
+  match elements with
+  | [] -> sparse ()
+  | (first, _) :: _ ->
+    let d = Array.length first in
+    let lo = Array.copy first and hi = Array.copy first in
+    let uniform = ref (d >= 1) in
+    List.iter
+      (fun (el, _) ->
+        ignore (pack_coords el);
+        if Array.length el <> d then uniform := false
+        else
+          for p = 0 to d - 1 do
+            if el.(p) < lo.(p) then lo.(p) <- el.(p);
+            if el.(p) > hi.(p) then hi.(p) <- el.(p)
+          done)
+      elements;
+    let extents = Array.init d (fun p -> hi.(p) - lo.(p) + 1) in
+    let volume = Array.fold_left ( * ) 1 extents in
+    if not (!uniform && flat_worthy ~volume ~count:n) then sparse ()
+    else begin
+      let data = Array.make volume 0 and present = Bytes.make volume '\000' in
+      let count = ref 0 in
+      List.iter
+        (fun (el, v) ->
+          let off = flat_offset lo extents el in
+          if Bytes.get present off = '\000' then begin
+            Bytes.set present off '\001';
+            incr count
+          end;
+          data.(off) <- v)
+        elements;
+      flat_chunk ~lo ~extents ~data ~present ~count:!count
+    end
+
 (* Promote a sparse chunk when it is populated enough that a flat
    buffer over its bounding box is clearly a win.  Mixed-arity chunks
    (never produced by the compiler pipeline) stay sparse. *)
 let promote tbl =
   let n = Hashtbl.length tbl in
-  if n < flat_min_count then None
+  if n = 0 then None
   else begin
     (* Both passes decode the packed keys in place — no per-element
        arrays; this runs once over every allocated word. *)
@@ -884,32 +983,34 @@ let dead_at_distribution m pe =
 let obs_dist m ~t0 ?(cat = "dist") name args =
   if Cf_obs.Trace.enabled m.obs then
     Cf_obs.Trace.complete m.obs ~lane:Cf_obs.Trace.host_lane ~cat ~ts:t0
-      ~dur:(m.dist_time -. t0) name ~args
+      ~dur:(m.dist_time -. t0) name ~args:(args ())
 
 (* The one host-to-PE send charge, shared by {!host_send} and
    {!host_send_chunk}: cut-through startup + size plus pipeline fill over
    the path, under the fault plan's link noise.  A PE dead during
    distribution costs one full attempt (the missing ack reveals it) and
    raises before anything is stored. *)
-let send_charge m ~pe a ~size =
+let send_charge m ~pe aid ~size =
   let hops = Topology.distance m.topology 0 pe + 1 in
   let t0 = m.dist_time in
   if dead_at_distribution m pe then begin
     charge m ~words:(size + hops - 1);
     m.volume <- Cost.sat_add m.volume size;
-    obs_dist m ~t0 "send"
-      [ ("pe", Cf_obs.Trace.Int pe); ("array", Cf_obs.Trace.Str a);
-        ("size", Cf_obs.Trace.Int size); ("crashed", Cf_obs.Trace.Bool true) ];
+    obs_dist m ~t0 "send" (fun () ->
+        [ ("pe", Cf_obs.Trace.Int pe);
+          ("array", Cf_obs.Trace.Str (array_name m aid));
+          ("size", Cf_obs.Trace.Int size); ("crashed", Cf_obs.Trace.Bool true) ]);
     if Cf_obs.Trace.enabled m.obs then
       Cf_obs.Trace.mark m.obs ~lane:pe ~cat:"fault" ~ts:(pe_now m pe) "crash"
         ~args:[ ("phase", Cf_obs.Trace.Str "distribution") ];
     raise (Pe_crashed { pe })
   end;
   charge_send m ~words:(size + hops - 1) ~size;
-  m.events <- Send { pe; array = a; size } :: m.events;
-  obs_dist m ~t0 "send"
-    [ ("pe", Cf_obs.Trace.Int pe); ("array", Cf_obs.Trace.Str a);
-      ("size", Cf_obs.Trace.Int size) ]
+  m.events <- Sent { pe; aid; size } :: m.events;
+  obs_dist m ~t0 "send" (fun () ->
+      [ ("pe", Cf_obs.Trace.Int pe);
+        ("array", Cf_obs.Trace.Str (array_name m aid));
+        ("size", Cf_obs.Trace.Int size) ])
 
 (* Delivery into a fresh (pe, array) slot is one wholesale install;
    into an existing chunk it merges cell by cell, exactly as stores. *)
@@ -921,14 +1022,13 @@ let deliver m ~pe aid chunk =
 let host_send m ~pe a elements =
   check_pe m pe;
   let size = List.length elements in
-  send_charge m ~pe a ~size;
-  let tbl = Hashtbl.create (2 * size) in
-  List.iter (fun (el, v) -> Hashtbl.replace tbl (pack_coords el) v) elements;
-  deliver m ~pe (array_id m a) (Sparse tbl)
+  let aid = array_id m a in
+  send_charge m ~pe aid ~size;
+  deliver m ~pe aid (chunk_of_elements elements)
 
 let host_send_chunk m ~pe aid chunk =
   check_pe m pe;
-  send_charge m ~pe (array_name m aid) ~size:(chunk_count chunk);
+  send_charge m ~pe aid ~size:(chunk_count chunk);
   deliver m ~pe aid chunk
 
 let host_broadcast m a elements =
@@ -938,10 +1038,10 @@ let host_broadcast m a elements =
   let t0 = m.dist_time in
   charge m ~words:(hops * size);
   m.volume <- Cost.sat_add m.volume size;
-  m.events <- Broadcast { array = a; size } :: m.events;
-  obs_dist m ~t0 "broadcast"
-    [ ("array", Cf_obs.Trace.Str a); ("size", Cf_obs.Trace.Int size) ];
   let aid = array_id m a in
+  m.events <- Broadcast_sent { aid; size } :: m.events;
+  obs_dist m ~t0 "broadcast" (fun () ->
+      [ ("array", Cf_obs.Trace.Str a); ("size", Cf_obs.Trace.Int size) ]);
   for pe = 0 to Topology.size m.topology - 1 do
     List.iter (fun (el, v) -> store_id m ~pe aid el v) elements
   done
@@ -962,11 +1062,11 @@ let host_multicast m ~pes a elements =
   let t0 = m.dist_time in
   charge m ~words:((2 * size) + hops);
   m.volume <- Cost.sat_add m.volume size;
-  m.events <- Multicast { pes; array = a; size } :: m.events;
-  obs_dist m ~t0 "multicast"
-    [ ("targets", Cf_obs.Trace.Int (List.length pes));
-      ("array", Cf_obs.Trace.Str a); ("size", Cf_obs.Trace.Int size) ];
   let aid = array_id m a in
+  m.events <- Multicast_sent { pes; aid; size } :: m.events;
+  obs_dist m ~t0 "multicast" (fun () ->
+      [ ("targets", Cf_obs.Trace.Int (List.length pes));
+        ("array", Cf_obs.Trace.Str a); ("size", Cf_obs.Trace.Int size) ]);
   List.iter
     (fun pe -> List.iter (fun (el, v) -> store_id m ~pe aid el v) elements)
     pes
@@ -1318,16 +1418,25 @@ let recover_chunk m c ~from_pe ~to_pe ~aid =
        to the same link faults as the original distribution. *)
     let t0 = m.dist_time in
     charge_send m ~words:(size + hops - 1) ~size;
-    m.events <- Resend { pe = to_pe; array = array_name m aid; size } :: m.events;
-    obs_dist m ~t0 ~cat:"fault" "resend"
-      [ ("pe", Cf_obs.Trace.Int to_pe);
-        ("array", Cf_obs.Trace.Str (array_name m aid));
-        ("size", Cf_obs.Trace.Int size) ];
+    m.events <- Resent { pe = to_pe; aid; size } :: m.events;
+    obs_dist m ~t0 ~cat:"fault" "resend" (fun () ->
+        [ ("pe", Cf_obs.Trace.Int to_pe);
+          ("array", Cf_obs.Trace.Str (array_name m aid));
+          ("size", Cf_obs.Trace.Int size) ]);
     (* The rebuild is already a private copy: install it wholesale. *)
     install m ~pe:to_pe aid chunk;
     size
 
-let trace m = List.rev m.events
+let trace m =
+  List.rev_map
+    (function
+      | Sent { pe; aid; size } -> Send { pe; array = array_name m aid; size }
+      | Broadcast_sent { aid; size } ->
+        Broadcast { array = array_name m aid; size }
+      | Multicast_sent { pes; aid; size } ->
+        Multicast { pes; array = array_name m aid; size }
+      | Resent { pe; aid; size } -> Resend { pe; array = array_name m aid; size })
+    m.events
 
 let pp_event ppf = function
   | Send { pe; array; size } ->

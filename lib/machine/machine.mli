@@ -114,10 +114,27 @@ val local_elements : t -> pe:int -> (string * int array * int) list
 val array_id : t -> string -> int
 (** Interns the name (allocating a fresh id on first sight).  Interning
     mutates the machine: during parallel execution use
-    {!find_array_id}, which is read-only. *)
+    {!find_array_id}, which is read-only.  A {e copy name} — [base#j]
+    with [base] non-empty and free of ['#'], [j] a positive decimal
+    without a leading zero — interns only [base] and returns
+    [copy_id m (array_id m base) j]; every other name (["A#0"],
+    ["A#01"], ["A#"], ["#3"], ["A#x"]) is an ordinary name. *)
+
+val copy_id : t -> int -> int -> int
+(** [copy_id m aid j] is the id of block [j]'s copy of the plainly
+    named array [aid] — the array {!array_id} gives for ["A#j"] when
+    [aid] is ["A"].  Pure arithmetic on the two numbers: no string, no
+    table entry, so numbering thousands of block copies costs nothing.
+    Raises [Invalid_argument] when [aid] is not an interned name free
+    of ['#'] (a copy's own id included), or [j] is below 1. *)
 
 val find_array_id : t -> string -> int option
+(** {!array_id} without interning: [None] when the name, or a copy
+    name's base, was never interned. *)
+
 val array_name : t -> int -> string
+(** The name of an id, a copy's ([base#j]) rendered on demand.
+    Inverse of {!array_id}. *)
 
 val pack_coords : int array -> int
 (** Injective packing of element coordinates (arity included) into one
@@ -190,10 +207,11 @@ type chunk
 val flat_worthy : volume:int -> count:int -> bool
 (** The flat-vs-sparse policy, the one {!compact} promotes by: a chunk
     of [count] elements whose bounding box holds [volume] cells is flat
-    iff it has at least 16 elements and fills at least an eighth of the
-    box (any box of at most 1024 cells qualifies; none beyond 2{^24}).
-    Monotone in [count], so a builder holding only an upper bound on the
-    element count can rule flat storage out before allocating a box. *)
+    iff it fills at least an eighth of the box (any box of at most 1024
+    cells qualifies, a one-element chunk included; none beyond
+    2{^24}).  Monotone in [count], so a builder holding only an upper
+    bound on the element count can rule flat storage out before
+    allocating a box. *)
 
 val sparse_chunk : (int, int) Hashtbl.t -> chunk
 (** A sparse chunk over a {!pack_coords} key to value table (ownership
@@ -251,8 +269,9 @@ val host_send :
     blocks to each processor in turn reproduces the paper's
     [p·t_start + M²·t_comm] term of T2.  When [pe] holds nothing of the
     array yet, the elements arrive as one fresh chunk installed
-    wholesale (as {!install_chunk}); otherwise they merge into the
-    existing chunk cell by cell, as {!store} would.
+    wholesale (as {!install_chunk}), flat or sparse as {!compact} would
+    make it; otherwise they merge into the existing chunk cell by cell,
+    as {!store} would.
 
     Under a fault plan: dropped/corrupted attempts are each charged in
     full before the successful retransmission (one fault-RNG draw per
@@ -413,7 +432,9 @@ type event =
       (** recovery replay of a lost chunk onto a surviving PE *)
 
 val trace : t -> event list
-(** Host distribution events in issue order. *)
+(** Host distribution events in the order they were sent.  Events are
+    recorded by array id and named here, when read (a copy as
+    [base#j]). *)
 
 val pp_event : Format.formatter -> event -> unit
 val pp_stats : Format.formatter -> t -> unit

@@ -45,13 +45,15 @@ let assemble ~obs ?basis ~strategy ~exact nest space partition =
 let partition_of ~obs nest space =
   phase obs "iter-partition" (fun () -> Iter_partition.make nest space)
 
-let plan ?(obs = Cf_obs.Trace.null) ?(strategy = Strategy.Nonduplicate) ?basis
-    ?search_radius nest =
-  let exact, space =
-    analyse ~obs ~strategy (Facts.make ?search_radius nest)
-  in
+let plan_of_facts ?(obs = Cf_obs.Trace.null)
+    ?(strategy = Strategy.Nonduplicate) ?basis facts =
+  let nest = Facts.nest facts in
+  let exact, space = analyse ~obs ~strategy facts in
   let partition = partition_of ~obs nest space in
   assemble ~obs ?basis ~strategy ~exact nest space partition
+
+let plan ?obs ?strategy ?basis ?search_radius nest =
+  plan_of_facts ?obs ?strategy ?basis (Facts.make ?search_radius nest)
 
 let relabel t nest =
   {

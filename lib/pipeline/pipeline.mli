@@ -34,7 +34,19 @@ val plan :
     {!Cf_obs.Trace.null}) receives one span per planning phase —
     exact analysis, partitioning-space search, iteration partition,
     loop transform — on the planner lane, timed by the trace's injected
-    clock. *)
+    clock.  {!plan_of_facts} over a fresh {!Cf_core.Facts.t}. *)
+
+val plan_of_facts :
+  ?obs:Cf_obs.Trace.t ->
+  ?strategy:Strategy.t ->
+  ?basis:int array list ->
+  Facts.t ->
+  t
+(** {!plan} of the analysis value's nest, reading the exact analysis
+    and [Ψ] from that value — the mirror of
+    {!Cf_mincomm.Mincomm.plan_of_facts}, so a caller that plans a
+    rejected nest's fallback as well analyses the nest once.  The
+    value's [search_radius] is the one it was made with. *)
 
 val relabel : t -> Cf_loop.Nest.t -> t
 (** [relabel t nest] re-expresses a plan under the caller's identifier

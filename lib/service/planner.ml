@@ -47,9 +47,9 @@ let memo_key (c : Canon.t) strategy search_radius =
     (Cf_core.Strategy.to_string strategy)
     (match search_radius with None -> "-" | Some r -> string_of_int r)
 
-let fallback_of ~obs ?search_radius ~nprocs nest =
+let fallback_of ~obs ~nprocs facts =
   Cf_obs.Trace.span obs ~cat:"plan" "fallback-plan" (fun () ->
-      Mincomm.plan ?search_radius ~nprocs nest)
+      Mincomm.plan_of_facts ~nprocs facts)
 
 (* [serve] asks for the fallback tier; only a theorem-rejected plan has
    one, and only a fallback planned for the same [nprocs] answers. *)
@@ -116,7 +116,9 @@ let plan ?(obs = Cf_obs.Trace.null) ?(strategy = Cf_core.Strategy.Nonduplicate)
        hit still lacking the requested fallback: this request leads the
        key's flight.  Everything is planned on the canonical nest so the
        cached entry is caller-independent, and stored as soon as it
-       exists — a fallback that raises keeps the exact plan cached. *)
+       exists — a fallback that raises keeps the exact plan cached.  A
+       miss plans both tiers from one analysis of the canonical nest; a
+       fill of an existing entry analyses it afresh. *)
     let settle () =
       Mutex.lock t.lock;
       Hashtbl.remove t.in_flight key;
@@ -128,6 +130,7 @@ let plan ?(obs = Cf_obs.Trace.null) ?(strategy = Cf_core.Strategy.Nonduplicate)
           Memo.add t.memo key e;
           e
         in
+        let facts = lazy (Cf_core.Facts.make ?search_radius c.Canon.nest) in
         let e =
           match cached with
           | Some e -> e
@@ -135,8 +138,7 @@ let plan ?(obs = Cf_obs.Trace.null) ?(strategy = Cf_core.Strategy.Nonduplicate)
             store
               {
                 canonical_key = c.Canon.key;
-                exact =
-                  Pipeline.plan ~obs ~strategy ?search_radius c.Canon.nest;
+                exact = Pipeline.plan_of_facts ~obs ~strategy (Lazy.force facts);
                 fallback = None;
               }
         in
@@ -147,8 +149,7 @@ let plan ?(obs = Cf_obs.Trace.null) ?(strategy = Cf_core.Strategy.Nonduplicate)
             store
               {
                 e with
-                fallback =
-                  Some (fallback_of ~obs ?search_radius ~nprocs c.Canon.nest);
+                fallback = Some (fallback_of ~obs ~nprocs (Lazy.force facts));
               }
           | _ -> e
         in
@@ -157,11 +158,12 @@ let plan ?(obs = Cf_obs.Trace.null) ?(strategy = Cf_core.Strategy.Nonduplicate)
 
 let uncached ?(obs = Cf_obs.Trace.null)
     ?(strategy = Cf_core.Strategy.Nonduplicate) ?search_radius ?serve nest =
-  let plan = Pipeline.plan ~obs ~strategy ?search_radius nest in
+  let facts = Cf_core.Facts.make ?search_radius nest in
+  let plan = Pipeline.plan_of_facts ~obs ~strategy facts in
   let fallback =
     match serve with
     | Some nprocs when Pipeline.parallelism plan = 0 ->
-      Some (fallback_of ~obs ?search_radius ~nprocs nest)
+      Some (fallback_of ~obs ~nprocs facts)
     | _ -> None
   in
   {

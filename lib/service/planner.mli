@@ -48,7 +48,7 @@ type answer = {
   canon : Cf_cache.Canon.t;  (** the canonical form that keyed the cache *)
   hit : bool;  (** the exact plan came from the cache *)
   fallback_planned : bool;
-      (** this call ran {!Cf_mincomm.Mincomm.plan} (a fallback miss) *)
+      (** this call planned the fallback (a fallback miss) *)
 }
 
 val plan :
@@ -64,7 +64,11 @@ val plan :
     (or on first request computes and caches) the fallback for a cyclic
     placement on [nprocs] PEs when the plan has parallelism 0.  Either
     way the returned plans carry the caller's names.  The canonical form
-    is computed once per call and returned.  [obs] receives a
+    is computed once per call and returned.  A miss that plans both
+    tiers analyses the canonical nest once ({!Cf_core.Facts.t} shared by
+    {!Cf_pipeline.Pipeline.plan_of_facts} and
+    {!Cf_mincomm.Mincomm.plan_of_facts}); filling the fallback into an
+    existing entry analyses it afresh.  [obs] receives a
     [cache-hit]/[cache-miss] instant (tagged with the structural digest)
     and the pipeline's phase spans of whatever is planned, the fallback
     as one [fallback-plan] span.  Basis overrides are deliberately
@@ -80,8 +84,8 @@ val uncached :
   Cf_loop.Nest.t ->
   answer
 (** {!plan} without a cache: both plans are planned on [nest] itself,
-    so no relabeling is involved; [canon] is still computed, once, and
-    [hit] is false. *)
+    from one analysis, so no relabeling is involved; [canon] is still
+    computed, once, and [hit] is false. *)
 
 val stats : t -> Cf_cache.Memo.stats
 val clear : t -> unit

@@ -135,14 +135,14 @@ let indexed_cases =
   in
   let remote_t = Alcotest.(option (triple int string (array int))) in
   let check_parity ?(domains_list = [ 1; 3 ]) ?(prepare = fun _ -> ())
-      ?allocate ?charge_distribution ~name ~nprocs ~strategy nest psi =
+      ?backend ?allocate ?charge_distribution ~name ~nprocs ~strategy nest psi =
     let partition = Iter_partition.make nest psi in
     let coset = Coset.make nest psi in
     let placement = Parexec.cyclic ~nprocs in
     let base_machine = mk nprocs in
     prepare base_machine;
     let base =
-      Cf_check.Refexec.execute ?allocate ?charge_distribution
+      Cf_check.Refexec.execute ?backend ?allocate ?charge_distribution
         ~machine:base_machine ~placement ~strategy partition
     in
     List.iter
@@ -151,8 +151,8 @@ let indexed_cases =
         let machine = mk nprocs in
         prepare machine;
         let r =
-          Parexec.execute_indexed ?allocate ?charge_distribution ~domains
-            ~machine ~placement ~strategy coset
+          Parexec.execute_indexed ?backend ?allocate ?charge_distribution
+            ~domains ~machine ~placement ~strategy coset
         in
         Alcotest.check remote_t (ctx "remote") base.Parexec.remote_access
           r.Parexec.remote_access;
@@ -245,6 +245,119 @@ let indexed_cases =
         check_parity ~name:"L1-predist" ~prepare ~allocate:false ~nprocs:2
           ~strategy:Strategy.Duplicate l1
           (Strategy.partitioning_space Strategy.Duplicate l1));
+    Alcotest.test_case "tampered inputs: the validator agrees with the reference"
+      `Quick (fun () ->
+        (* Every accessed element pre-placed on every PE under its plain
+           name, one pure input (read, never written) tampered: the
+           engine must report the reference's mismatches exactly. *)
+        List.iter
+          (fun (k : Cf_workloads.Workloads.kernel) ->
+            let nest = k.build ~size:6 in
+            let idx = Cf_loop.Nest.indices nest in
+            let accessed = Hashtbl.create 256 and written = Hashtbl.create 256 in
+            Cf_loop.Nest.iter_space nest (fun iter ->
+                let index v =
+                  let rec f j = if idx.(j) = v then iter.(j) else f (j + 1) in
+                  f 0
+                in
+                List.iter
+                  (fun (s : Cf_loop.Stmt.t) ->
+                    let key (r : Cf_loop.Aref.t) =
+                      (r.Cf_loop.Aref.array, Cf_loop.Aref.eval index r)
+                    in
+                    Hashtbl.replace written (key s.Cf_loop.Stmt.lhs) ();
+                    List.iter
+                      (fun r -> Hashtbl.replace accessed (key r) ())
+                      (s.Cf_loop.Stmt.lhs :: Cf_loop.Stmt.reads s))
+                  nest.Cf_loop.Nest.body);
+            let inputs =
+              List.sort compare
+                (Hashtbl.fold
+                   (fun key () acc ->
+                     if Hashtbl.mem written key then acc else key :: acc)
+                   accessed [])
+            in
+            let prepare tamper machine =
+              Hashtbl.iter
+                (fun ((a, el) as key) () ->
+                  let v = Seqexec.default_init a el in
+                  let v = if key = tamper then v + 1_000_003 else v in
+                  for pe = 0 to 3 do
+                    Cf_machine.Machine.store machine ~pe a el v
+                  done)
+                accessed
+            in
+            List.iter
+              (fun strategy ->
+                let name =
+                  Printf.sprintf "%s/%s" k.Cf_workloads.Workloads.name
+                    (Strategy.to_string strategy)
+                in
+                let psi = Strategy.partitioning_space strategy nest in
+                let mismatching tamper =
+                  let machine = mk 4 in
+                  prepare tamper machine;
+                  (Cf_check.Refexec.execute ~allocate:false ~machine
+                     ~placement:(Parexec.cyclic ~nprocs:4) ~strategy
+                     (Iter_partition.make nest psi))
+                    .Parexec.mismatches
+                  <> []
+                in
+                match List.find_opt mismatching inputs with
+                | None -> Alcotest.failf "%s: no tampered input shows" name
+                | Some tamper ->
+                  List.iter
+                    (fun backend ->
+                      check_parity ~backend ~prepare:(prepare tamper)
+                        ~allocate:false ~name ~nprocs:4 ~strategy nest psi)
+                    [ `Compiled; `Interpreted ])
+              Strategy.all)
+          Cf_workloads.Workloads.all);
+    Alcotest.test_case "the last writer is not the largest block id" `Quick
+      (fun () ->
+        (* A[7] is written from (1,4) in block 4 and later from (2,1) in
+           block 3: the sequentially-last value is block 3's. *)
+        let nest =
+          Cf_loop.Parse.nest
+            "for i = 1 to 2\n  for j = 1 to 4\n    A[3*i + j] := B[i, j] + 1;\n  end\nend\n"
+        in
+        let psi =
+          Cf_linalg.Subspace.span 2 [ Cf_linalg.Vec.of_int_list [ 1; -2 ] ]
+        in
+        let coset = Coset.make nest psi in
+        check_bool "block 3 holds (2,1)" true
+          (Coset.block_iterations coset ~id:3 = [ [| 1; 3 |]; [| 2; 1 |] ]);
+        check_bool "block 4 holds (1,4)" true
+          (Coset.block_iterations coset ~id:4 = [ [| 1; 4 |]; [| 2; 2 |] ]);
+        check_int "right value" 471 (Seqexec.default_init "B" [| 2; 1 |] + 1);
+        check_int "block 4's value" 300 (Seqexec.default_init "B" [| 1; 4 |] + 1);
+        let placed ~nprocs machine =
+          for pe = 0 to nprocs - 1 do
+            for i = 1 to 2 do
+              for j = 1 to 4 do
+                Cf_machine.Machine.store machine ~pe "A" [| (3 * i) + j |] 0;
+                Cf_machine.Machine.store machine ~pe "B" [| i; j |]
+                  (Seqexec.default_init "B" [| i; j |])
+              done
+            done
+          done
+        in
+        List.iter
+          (fun (allocate, nprocs, backend) ->
+            let machine = mk nprocs in
+            if not allocate then placed ~nprocs machine;
+            let r =
+              Parexec.execute_indexed ~backend ~allocate ~machine
+                ~placement:(Parexec.cyclic ~nprocs)
+                ~strategy:Strategy.Nonduplicate coset
+            in
+            check_bool
+              (Printf.sprintf "ok (allocate %b, %d PE, %s)" allocate nprocs
+                 (Compile.backend_name backend))
+              true (Parexec.ok r))
+          [ (true, 2, `Compiled); (true, 2, `Interpreted);
+            (false, 1, `Compiled); (false, 1, `Interpreted);
+            (false, 2, `Compiled); (false, 2, `Interpreted) ]);
     Alcotest.test_case "validate:false skips mismatch detection" `Quick
       (fun () ->
         let psi = Strategy.partitioning_space Strategy.Nonduplicate l1 in
@@ -691,8 +804,8 @@ let flat_path_cases =
           ]);
     Alcotest.test_case "bulk and element-wise distribution agree on every kernel"
       `Quick (fun () ->
-        (* Size 6 keeps every copy small (sparse); rank1 at 20 gathers
-           flat row copies. *)
+        (* Every kernel at size 6, where copies are a few elements each,
+           and rank1 at 20, which gathers flat row copies. *)
         let rank1 = Cf_workloads.Workloads.rank1_update.build ~size:20 in
         let plan = Cf_pipeline.Pipeline.plan ~strategy:Strategy.Nonduplicate rank1 in
         let machine = machine2 () in

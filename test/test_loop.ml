@@ -156,6 +156,65 @@ let nest_cases =
           (Nest.extent_halfwidths l1);
         Alcotest.check Alcotest.(array int) "L4" [| 3; 3; 3 |]
           (Nest.extent_halfwidths l4));
+    Alcotest.test_case "cardinal agrees with enumeration" `Quick (fun () ->
+        let enumerated n =
+          let c = ref 0 in
+          Nest.iter_space n (fun _ -> incr c);
+          !c
+        in
+        let agree what n = check_int what (enumerated n) (Nest.cardinal n) in
+        List.iter
+          (fun (k : Cf_workloads.Workloads.kernel) ->
+            List.iter
+              (fun size ->
+                agree
+                  (Printf.sprintf "%s@%d" k.Cf_workloads.Workloads.name size)
+                  (k.build ~size))
+              [ 1; 6 ])
+          Cf_workloads.Workloads.all;
+        List.iter (fun (name, n) -> agree name n) all_paper_loops;
+        let exe_dir = Filename.dirname Sys.executable_name in
+        let corpus =
+          List.find Sys.file_exists
+            [ Filename.concat exe_dir "corpus";
+              Filename.concat exe_dir "../../../test/corpus"; "corpus" ]
+        in
+        let entries = Cf_check.Corpus.load corpus in
+        check_bool "corpus found" true (entries <> []);
+        List.iter (fun (name, n) -> agree name n) entries;
+        (* Upper bounds drawn from below the lower bound up: some levels
+           are empty, at any depth. *)
+        let empty = ref 0 in
+        for index = 0 to 199 do
+          let depth = 1 + (index mod 3) in
+          let d = Cf_check.Gen.default ~depth in
+          let p =
+            { d with
+              Cf_check.Gen.bound_hi_min = d.Cf_check.Gen.bound_lo - 2 }
+          in
+          let n = Cf_check.Gen.generate ~index ~seed:7 p in
+          if Nest.cardinal n = 0 then incr empty;
+          agree (Printf.sprintf "gen %d" index) n
+        done;
+        check_bool "some generated spaces are empty" true (!empty > 0);
+        let triangle =
+          Cf_loop.Parse.nest
+            "for i = 1 to 5\n  for j = i to 5\n    A[i, j] := A[i, j] + 1;\n  end\nend\n"
+        in
+        check_bool "triangle is not rectangular" false (Nest.is_rectangular triangle);
+        check_int "triangle" 15 (Nest.cardinal triangle);
+        let huge =
+          Nest.rectangular
+            [ ("i", 0, max_int - 1); ("j", 0, 1); ("k", 3, 2) ]
+            [ Stmt.make (Aref.make "A" [ Affine.var "i" ]) (Expr.Const 0) ]
+        in
+        check_int "an empty level wins over saturation" 0 (Nest.cardinal huge);
+        let huge =
+          Nest.rectangular
+            [ ("i", 0, max_int - 1); ("j", 0, 1) ]
+            [ Stmt.make (Aref.make "A" [ Affine.var "i" ]) (Expr.Const 0) ]
+        in
+        check_int "saturates" max_int (Nest.cardinal huge));
   ]
 
 let parse_cases =

@@ -583,6 +583,45 @@ let bulk_cases =
         done;
         check_bool "retries happened" true (Machine.retries m2 > 0);
         same_machines "lossy link" m1 m2);
+    Alcotest.test_case "block copies are numbered and named on demand" `Quick
+      (fun () ->
+        let m = Machine.create (Topology.linear 2) Cost.transputer in
+        check_bool "no base, no copy" true (Machine.find_array_id m "A#12" = None);
+        let a = Machine.array_id m "A" in
+        let c = Machine.copy_id m a 12 in
+        check_bool "a copy is not its base" true (c <> a);
+        check_bool "blocks differ" true (Machine.copy_id m a 13 <> c);
+        check_string "array_name" "A#12" (Machine.array_name m c);
+        check_bool "find_array_id" true (Machine.find_array_id m "A#12" = Some c);
+        check_int "array_id" c (Machine.array_id m "A#12");
+        List.iter
+          (fun name ->
+            check_bool (name ^ " is no copy of A") true
+              (Machine.find_array_id m name = None);
+            let id = Machine.array_id m name in
+            check_string (name ^ " interns as itself") name
+              (Machine.array_name m id);
+            Alcotest.check_raises (name ^ " has no copies")
+              (Invalid_argument "Machine.copy_id: not a plain array id")
+              (fun () -> ignore (Machine.copy_id m id 1)))
+          [ "A#0"; "A#01"; "A#"; "#3"; "A#x" ];
+        Alcotest.check_raises "no copy of a copy"
+          (Invalid_argument "Machine.copy_id: not a plain array id") (fun () ->
+            ignore (Machine.copy_id m c 2));
+        Alcotest.check_raises "blocks count from 1"
+          (Invalid_argument "Machine.copy_id: block out of range") (fun () ->
+            ignore (Machine.copy_id m a 0));
+        let seven = Machine.copy_id m a 7 in
+        Machine.host_send_chunk m ~pe:1 seven (chunk_of [ ([| 1 |], 5) ]);
+        (match Machine.trace m with
+        | [ Machine.Send { pe = 1; array = "A#7"; size = 1 } ] -> ()
+        | evs ->
+          Alcotest.failf "unexpected trace: %s"
+            (String.concat "; "
+               (List.map (Format.asprintf "%a" Machine.pp_event) evs)));
+        check_int "read by name" 5 (Machine.read m ~pe:1 "A#7" [| 1 |]);
+        check_bool "local_elements names the copy" true
+          (Machine.local_elements m ~pe:1 = [ ("A#7", [| 1 |], 5) ]));
     Alcotest.test_case "flat_chunk demotes what compact would not promote"
       `Quick (fun () ->
         let m = Machine.create (Topology.linear 1) Cost.transputer in
@@ -601,7 +640,23 @@ let bulk_cases =
         check_bool "dense stays flat" true (Machine.flat_view m ~pe:0 bid <> None);
         check_bool "policy agrees" true
           (Machine.flat_worthy ~volume:40 ~count:40
-          && not (Machine.flat_worthy ~volume:4096 ~count:4)));
+          && not (Machine.flat_worthy ~volume:4096 ~count:4));
+        (* No element floor: a one-element copy is flat. *)
+        check_bool "one element is flat" true
+          (Machine.flat_worthy ~volume:1 ~count:1);
+        let one = Machine.array_id m "C" in
+        Machine.install_chunk m ~pe:0 one
+          (flat_of ~lo:[| 5; 5 |] ~hi:[| 5; 5 |] [ ([| 5; 5 |], 9) ]);
+        check_bool "a one-element chunk stays flat" true
+          (Machine.flat_view m ~pe:0 one <> None);
+        (* E19's pre-placement: 3 columns of a 48-row matrix in a 48x33
+           box fill 144 of 1584 cells, over the 1152-cell limit; 2
+           columns of a 32-row one fill 64 of 544, under the 1024-cell
+           floor. *)
+        check_bool "matmul 48 columns stay sparse" false
+          (Machine.flat_worthy ~volume:1584 ~count:144);
+        check_bool "matmul 32 columns are flat" true
+          (Machine.flat_worthy ~volume:544 ~count:64));
   ]
 
 let suites =
