@@ -4,13 +4,14 @@
     The interpreters ({!Seqexec}, and {!Parexec}'s per-iteration path)
     re-dispatch on the expression AST, re-resolve array slots and
     re-evaluate [H·i + c] subscripts for every iteration.  This module
-    partially evaluates all of that {e once per block}: array slots,
+    partially evaluates all of that {e once per bind}: array slots,
     scalar values, loop-index positions and the per-operator arithmetic
-    are resolved at bind time, subscripts become precomputed stride
-    closures (with the common rank-1/rank-2 single-index shapes folded
-    to straight-line adds), and the statement body compiles to one flat
-    OCaml closure [int array -> unit] over whatever memory the caller
-    exposes through a {!target}.
+    are resolved at bind time, each access site becomes one load or
+    store closure over whatever memory the caller exposes through a
+    {!target}, and each statement compiles to one closure tree
+    [int array -> unit] over those accessors.  One statement shape has
+    a hand-specialized run kernel: matrix multiplication's
+    [C := C + A·B] (the paper's L5), see {!bind_run}.
 
     The interpreter is retained unchanged as the differential oracle:
     the [compiled-vs-interpreted] property in [cf_check] demands
@@ -35,6 +36,9 @@ module Site : sig
     aref : Aref.t;  (** physically the node inside the statement *)
     h : int array array;
     c : int array;
+    shift : int array;
+        (** [shift.(p) = q] when subscript [p] is [iter(q) + c.(p)]
+            (unit stride), [-1] otherwise *)
   }
 
   val rank : t -> int
@@ -80,45 +84,24 @@ val sites : program -> Site.t array array
 val scratch : Site.t array array -> int array array array
 (** One {!Site.eval_into} buffer per site, sized to its rank. *)
 
-type flat = {
-  f_lo : int array;
-  f_extents : int array;
-  f_data : int array;
-  f_present : Bytes.t;
-  f_dirty : Bytes.t;
-}
-(** A live row-major view of one array's storage: element [el] sits at
-    offset [Σ (el.(p) − f_lo.(p))·stride(p)] and is present iff its
-    [f_present] byte is nonzero.  Every compiled store to [f_data] also
-    sets the matching [f_dirty] byte, feeding the target machine's
-    write journal (delta checkpoints would otherwise miss raw-buffer
-    writes). *)
-
 type target = {
-  reader : int -> int array -> int;
-  reader1 : int -> int -> int;
-  reader2 : int -> int -> int -> int;
-  writer : int -> int array -> int -> unit;
-  writer1 : int -> int -> int -> unit;
-  writer2 : int -> int -> int -> int -> unit;
-  flat : int -> flat option;
+  read : int -> int array -> int;
+  write : int -> int array -> int -> unit;
+  flat : int -> Cf_machine.Machine.flat option;
 }
-(** Accessor factories over the memory the compiled closure runs
-    against, keyed by array slot.  Each factory is applied once per
-    site at {!bind} time and returns the per-iteration accessor, so a
-    target resolves slots (chunk lookups, name interning, …) outside
-    the loop.  The [int array] element passed to [reader]/[writer] is
-    caller scratch and must not be retained.  [reader1]/[reader2] (and
-    the writers) are the allocation-free rank-1/rank-2 fast paths; a
-    rank mismatch must fail exactly like the general accessor.
-
-    [flat] optionally exposes the slot's storage as a {!flat} view of
-    matching rank; when present, rank-1/rank-2 sites with unit-stride
-    subscripts compile to zero-call inline accesses, falling back to
-    the bound accessor only on miss (out of box or absent element), so
-    miss behavior — and hence the faulting element — is unchanged.
-    Targets without such storage return [None] ({!bind} then uses the
-    accessor closures everywhere). *)
+(** The memory a compiled body runs against, keyed by array slot.
+    [read slot] and [write slot] are the general accessors: {!bind}
+    applies them once per site without a view, so a target resolves
+    slots (chunk lookups, …) outside the loop, and at each miss of a
+    site with a view; the [int array] element they receive is caller
+    scratch and must not be retained.  [flat slot]
+    optionally exposes the slot's storage as a live
+    {!Cf_machine.Machine.flat} view; sites whose rank matches it read
+    and update present elements in place (setting the dirty byte on
+    every store) and call [read]/[write] only on a miss (outside the
+    box or absent element), so miss behavior — and hence the faulting
+    element — is the accessor's.  Targets without such storage return
+    [None]. *)
 
 val bind :
   ?keep:(stmt_index:int -> int array -> bool) ->
@@ -128,15 +111,19 @@ val bind :
   program ->
   (int array -> unit)
 (** Compile the whole body against [target]: the result executes every
-    (surviving) statement instance of one iteration.  Scalars are
-    evaluated once at bind time (they are pure by contract); reads
-    evaluate left to right exactly as {!Cf_loop.Expr.eval} does, so a
-    faulting access faults on the same element; [Div] is OCaml [( / )]
-    — truncation toward zero, raising [Division_by_zero] — matching the
-    interpreter bit for bit.  [on_write] (the write log of the
-    [Cf_check.Refexec] reference) receives the lhs element in scratch
-    that must not be retained; when absent, rank-1/rank-2 writes skip
-    element materialization entirely and the fused shapes apply. *)
+    (surviving) statement instance of one iteration.  Each site's load
+    or store is built once: over a flat view of its rank, a rank-1 or
+    rank-2 site with unit-stride subscripts ([iter(q) + c] each) inlines
+    the hit path with no call, and any other site computes its offset
+    from the element; without a view every access goes through
+    [read]/[write].  Scalars are evaluated once at bind time (they are
+    pure by contract); reads evaluate left to right exactly as
+    {!Cf_loop.Expr.eval} does, so a faulting access faults on the same
+    element; [Div] is OCaml [( / )] — truncation toward zero, raising
+    [Division_by_zero] — matching the interpreter bit for bit.
+    [on_write] (the write log of the [Cf_check.Refexec] reference) is
+    called after each store with the lhs element in scratch that must
+    not be retained. *)
 
 val bind_run :
   ?keep:(stmt_index:int -> int array -> bool) ->
@@ -149,12 +136,14 @@ val bind_run :
     batched walks: [(kernel, run)] where [run x ~q ~step ~count]
     executes [count] consecutive iterations in which [x.(q)] advances by
     [step], starting from the iteration vector [x] (restored on
-    return).  For a single fused statement over {!flat} rank-2 sites the
-    run marches precomputed flat offsets with the box checks hoisted to
-    the run endpoints, replaying individual iterations through the
-    scalar kernel when an element is absent — so faulting and value
-    semantics are bit-for-bit those of [kernel] iterated; every other
-    body shape simply loops [kernel]. *)
+    return).  A lone statement [L := r op1 (s op2 t)] whose four sites
+    are rank-2, unit-stride and over rank-2 {!Cf_machine.Machine.flat}
+    views (matrix multiplication) gets the one hand-specialized run: it
+    marches precomputed flat offsets with the box checks hoisted to the
+    run endpoints, replaying individual iterations through [kernel] when
+    an element is absent — so faulting and value semantics are
+    bit-for-bit those of [kernel] iterated.  Every other body simply
+    loops [kernel].  Both are built from one set of accessors. *)
 
 val iter_space : Nest.t -> (int array -> unit) -> unit
 (** {!Cf_loop.Nest.iter_space} with the loop bounds compiled to stride

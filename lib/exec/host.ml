@@ -185,73 +185,16 @@ let store t slot el v =
     Hashtbl.replace written_keys key ()
 
 let target t =
-  let reader slot el = value t slot el in
-  let writer slot el v = store t slot el v in
-  (* Rank-1/rank-2 entry points: the flat hit path inline, everything
-     else through the general accessor on scratch. *)
-  let reader1 slot =
-    let sc = [| 0 |] in
-    match t.arrs.(slot) with
-    | Box { lo = [| lo0 |]; extents = [| e0 |]; data; mat; _ } ->
-      fun x ->
-        let c = x - lo0 in
-        if c >= 0 && c < e0 && Bytes.unsafe_get mat c <> '\000' then
-          Array.unsafe_get data c
-        else begin
-          sc.(0) <- x;
-          value t slot sc
-        end
-    | _ ->
-      fun x ->
-        sc.(0) <- x;
-        value t slot sc
-  in
-  let reader2 slot =
-    let sc = [| 0; 0 |] in
-    let slow x0 x1 =
-      sc.(0) <- x0;
-      sc.(1) <- x1;
-      value t slot sc
-    in
-    match t.arrs.(slot) with
-    | Box { lo = [| lo0; lo1 |]; extents = [| e0; e1 |]; data; mat; _ } ->
-      fun x0 x1 ->
-        let c0 = x0 - lo0 and c1 = x1 - lo1 in
-        if c0 >= 0 && c0 < e0 && c1 >= 0 && c1 < e1 then begin
-          let off = (c0 * e1) + c1 in
-          if Bytes.unsafe_get mat off <> '\000' then Array.unsafe_get data off
-          else slow x0 x1
-        end
-        else slow x0 x1
-    | _ -> slow
-  in
-  let writer1 slot =
-    let sc = [| 0 |] in
-    fun x v ->
-      sc.(0) <- x;
-      store t slot sc v
-  in
-  let writer2 slot =
-    let sc = [| 0; 0 |] in
-    fun x0 x1 v ->
-      sc.(0) <- x0;
-      sc.(1) <- x1;
-      store t slot sc v
-  in
-  let flat slot =
-    match t.arrs.(slot) with
-    | Box { lo; extents; data; mat; written; _ } ->
-      Some
-        {
-          Compile.f_lo = lo;
-          f_extents = extents;
-          f_data = data;
-          f_present = mat;
-          f_dirty = written;
-        }
-    | Table _ -> None
-  in
-  { Compile.reader; reader1; reader2; writer; writer1; writer2; flat }
+  {
+    Compile.read = value t;
+    write = store t;
+    flat =
+      (fun slot ->
+        match t.arrs.(slot) with
+        | Box { lo; extents; data; mat; written; _ } ->
+          Some { Machine.lo; extents; data; present = mat; dirty = written }
+        | Table _ -> None);
+  }
 
 let iter_written t f =
   Array.iteri

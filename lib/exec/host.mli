@@ -38,8 +38,8 @@ val target : t -> Compile.target
 (** Accessors over the host arrays, for {!Compile.bind}: a read of an
     element not yet materialized materializes it, a write sets the value
     without consulting [init], and every write marks its cell written.
-    Flat host arrays expose their buffer as a {!Compile.flat} view whose
-    dirty bitmap is the written mark. *)
+    Flat host arrays expose their buffer as a {!Cf_machine.Machine.flat}
+    view whose dirty bitmap is the written mark. *)
 
 val iter_written : t -> (int -> int -> int -> unit) -> unit
 (** [iter_written h f] calls [f slot packed v] once for every cell

@@ -28,72 +28,32 @@ type report = {
 let ok r = r.remote_access = None && r.mismatches = []
 
 (* Accessor target over PE [pe]'s chunks for one copy set: each factory
-   resolves the chunk once ({!Machine.reader} and friends), so the
-   compiled kernels touch local memory with no per-access map lookup.
-   Slots whose copy array was never stored anywhere ([None] aid) fail
-   lazily with the same {!Machine.Remote_access} the interpreted body
-   raises. *)
+   resolves the chunk once ({!Machine.reader}, {!Machine.writer},
+   {!Machine.flat_view}), so the compiled kernels touch local memory
+   with no per-access map lookup.  Slots whose copy array was never
+   stored anywhere ([None] aid) fail lazily with the same
+   {!Machine.Remote_access} the interpreted body raises. *)
 let machine_target machine ~pe ~copy_aids ~name =
   let miss slot el =
-    raise (Machine.Remote_access { pe; array = name slot; element = el })
+    raise
+      (Machine.Remote_access { pe; array = name slot; element = Array.copy el })
   in
-  (* A bind asks for a slot's flat view once per site and fused shape;
-     the view is built once. *)
-  let flats = Array.make (Array.length copy_aids) None in
   {
-    Compile.reader =
+    Compile.read =
       (fun slot ->
         match copy_aids.(slot) with
         | Some aid -> Machine.reader machine ~pe aid
-        | None -> fun el -> miss slot (Array.copy el));
-    reader1 =
-      (fun slot ->
-        match copy_aids.(slot) with
-        | Some aid -> Machine.reader1 machine ~pe aid
-        | None -> fun x -> miss slot [| x |]);
-    reader2 =
-      (fun slot ->
-        match copy_aids.(slot) with
-        | Some aid -> Machine.reader2 machine ~pe aid
-        | None -> fun x0 x1 -> miss slot [| x0; x1 |]);
-    writer =
+        | None -> miss slot);
+    write =
       (fun slot ->
         match copy_aids.(slot) with
         | Some aid -> Machine.writer machine ~pe aid
-        | None -> fun el _ -> miss slot (Array.copy el));
-    writer1 =
-      (fun slot ->
-        match copy_aids.(slot) with
-        | Some aid -> Machine.writer1 machine ~pe aid
-        | None -> fun x _ -> miss slot [| x |]);
-    writer2 =
-      (fun slot ->
-        match copy_aids.(slot) with
-        | Some aid -> Machine.writer2 machine ~pe aid
-        | None -> fun x0 x1 _ -> miss slot [| x0; x1 |]);
+        | None -> fun el _ -> miss slot el);
     flat =
       (fun slot ->
-        match flats.(slot) with
-        | Some view -> view
-        | None ->
-          let view =
-            match copy_aids.(slot) with
-            | Some aid -> (
-              match Machine.flat_view machine ~pe aid with
-              | Some (lo, extents, data, present, dirty) ->
-                Some
-                  {
-                    Compile.f_lo = lo;
-                    f_extents = extents;
-                    f_data = data;
-                    f_present = present;
-                    f_dirty = dirty;
-                  }
-              | None -> None)
-            | None -> None
-          in
-          flats.(slot) <- Some view;
-          view);
+        match copy_aids.(slot) with
+        | Some aid -> Machine.flat_view machine ~pe aid
+        | None -> None);
   }
 
 (* The per-statement list of structurally distinct access sites — what

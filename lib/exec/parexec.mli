@@ -242,10 +242,10 @@ val machine_target :
   Compile.target
 (** The accessor target compiled kernels bind against: array slot
     [slot] is PE [pe]'s chunk [copy_aids.(slot)], read and updated
-    through {!Cf_machine.Machine.reader} and friends (and its flat view
-    when compacted).  A [None] slot raises
-    {!Cf_machine.Machine.Remote_access} naming array [name slot] on
-    first access. *)
+    through {!Cf_machine.Machine.reader} and {!Cf_machine.Machine.writer}
+    (and its {!Cf_machine.Machine.flat_view} when flat).  A [None] slot
+    raises {!Cf_machine.Machine.Remote_access} naming array [name slot]
+    on first access. *)
 
 val ok : report -> bool
 (** No remote access and no mismatch. *)

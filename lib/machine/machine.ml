@@ -33,6 +33,14 @@ type sent =
    addressed by affine linearization of the bounding box, with a
    presence bitmap preserving exact holds/Remote_access semantics. *)
 
+type flat = {
+  lo : int array;
+  extents : int array;
+  data : int array;
+  present : Bytes.t;
+  dirty : Bytes.t;
+}
+
 type chunk =
   | Sparse of (int, int) Hashtbl.t
   | Flat of {
@@ -586,52 +594,13 @@ let reader m ~pe aid =
         Array.unsafe_get data off
       else read_miss m pe aid (Array.copy el)
 
-let reader1 m ~pe aid =
-  check_pe m pe;
-  match Hashtbl.find_opt m.memories.(pe) aid with
-  | Some (Flat fl) when Array.length fl.lo = 1 ->
-    let lo0 = fl.lo.(0) and e0 = fl.extents.(0) in
-    let data = fl.data and present = fl.present in
-    fun x ->
-      let c = x - lo0 in
-      if c >= 0 && c < e0 && Bytes.unsafe_get present c <> '\000' then
-        Array.unsafe_get data c
-      else read_miss m pe aid [| x |]
-  | _ ->
-    let r = reader m ~pe aid in
-    let sc = [| 0 |] in
-    fun x ->
-      sc.(0) <- x;
-      r sc
-
-let reader2 m ~pe aid =
-  check_pe m pe;
-  match Hashtbl.find_opt m.memories.(pe) aid with
-  | Some (Flat fl) when Array.length fl.lo = 2 ->
-    let lo0 = fl.lo.(0) and e0 = fl.extents.(0) in
-    let lo1 = fl.lo.(1) and e1 = fl.extents.(1) in
-    let data = fl.data and present = fl.present in
-    fun x0 x1 ->
-      let c0 = x0 - lo0 and c1 = x1 - lo1 in
-      if c0 >= 0 && c0 < e0 && c1 >= 0 && c1 < e1 then begin
-        let off = (c0 * e1) + c1 in
-        if Bytes.unsafe_get present off <> '\000' then
-          Array.unsafe_get data off
-        else read_miss m pe aid [| x0; x1 |]
-      end
-      else read_miss m pe aid [| x0; x1 |]
-  | _ ->
-    let r = reader m ~pe aid in
-    let sc = [| 0; 0 |] in
-    fun x0 x1 ->
-      sc.(0) <- x0;
-      sc.(1) <- x1;
-      r sc
-
 let flat_view m ~pe aid =
   check_pe m pe;
   match Hashtbl.find_opt m.memories.(pe) aid with
-  | Some (Flat fl) -> Some (fl.lo, fl.extents, fl.data, fl.present, fl.dirty)
+  | Some (Flat fl) ->
+    Some
+      { lo = fl.lo; extents = fl.extents; data = fl.data;
+        present = fl.present; dirty = fl.dirty }
   | _ -> None
 
 let writer m ~pe aid =
@@ -657,52 +626,6 @@ let writer m ~pe aid =
         Bytes.unsafe_set dirty off '\001'
       end
       else write_miss m pe aid (Array.copy el) v
-
-let writer1 m ~pe aid =
-  check_pe m pe;
-  match Hashtbl.find_opt m.memories.(pe) aid with
-  | Some (Flat fl) when Array.length fl.lo = 1 ->
-    let lo0 = fl.lo.(0) and e0 = fl.extents.(0) in
-    let data = fl.data and present = fl.present and dirty = fl.dirty in
-    fun x v ->
-      let c = x - lo0 in
-      if c >= 0 && c < e0 && Bytes.unsafe_get present c <> '\000' then begin
-        Array.unsafe_set data c v;
-        Bytes.unsafe_set dirty c '\001'
-      end
-      else write_miss m pe aid [| x |] v
-  | _ ->
-    let w = writer m ~pe aid in
-    let sc = [| 0 |] in
-    fun x v ->
-      sc.(0) <- x;
-      w sc v
-
-let writer2 m ~pe aid =
-  check_pe m pe;
-  match Hashtbl.find_opt m.memories.(pe) aid with
-  | Some (Flat fl) when Array.length fl.lo = 2 ->
-    let lo0 = fl.lo.(0) and e0 = fl.extents.(0) in
-    let lo1 = fl.lo.(1) and e1 = fl.extents.(1) in
-    let data = fl.data and present = fl.present and dirty = fl.dirty in
-    fun x0 x1 v ->
-      let c0 = x0 - lo0 and c1 = x1 - lo1 in
-      if c0 >= 0 && c0 < e0 && c1 >= 0 && c1 < e1 then begin
-        let off = (c0 * e1) + c1 in
-        if Bytes.unsafe_get present off <> '\000' then begin
-          Array.unsafe_set data off v;
-          Bytes.unsafe_set dirty off '\001'
-        end
-        else write_miss m pe aid [| x0; x1 |] v
-      end
-      else write_miss m pe aid [| x0; x1 |] v
-  | _ ->
-    let w = writer m ~pe aid in
-    let sc = [| 0; 0 |] in
-    fun x0 x1 v ->
-      sc.(0) <- x0;
-      sc.(1) <- x1;
-      w sc v
 
 let store m ~pe a el v = store_id m ~pe (array_id m a) el v
 

@@ -156,42 +156,45 @@ val holds_id : t -> pe:int -> int -> int array -> bool
     memory-map lookup, and on flat chunks no coordinate packing at all.
     Miss semantics are exactly {!read_id}/{!write_id}'s ({!Remote_access}
     with a copied element; writers never create elements), including
-    rank mismatches.  The rank-1/rank-2 variants take unboxed
-    coordinates and allocate nothing on the hit path.  A returned
-    closure is valid only while the chunk binding is unchanged — any
-    {!store_id} to a new element, {!install_id}, {!compact},
-    {!clear_pe} or {!restore} on that (pe, array) invalidates it.  The
-    executors re-bind per block, which also keeps crash recovery
-    (chunks swapped between rounds) safe. *)
+    rank mismatches.  A returned closure is valid only while the chunk
+    binding is unchanged — any {!store_id} to a new element,
+    {!install_id}, {!compact}, {!clear_pe} or {!restore} on that
+    (pe, array) invalidates it.  The executors re-bind per block, which
+    also keeps crash recovery (chunks swapped between rounds) safe. *)
 
 val reader : t -> pe:int -> int -> int array -> int
 (** [reader m ~pe aid] is a bound form of [read_id m ~pe aid]; the
     element array is caller scratch (copied only on the miss path). *)
 
-val reader1 : t -> pe:int -> int -> int -> int
-val reader2 : t -> pe:int -> int -> int -> int -> int
 val writer : t -> pe:int -> int -> int array -> int -> unit
 (** Bound form of {!write_id} (update-only: absent elements raise). *)
 
-val writer1 : t -> pe:int -> int -> int -> int -> unit
-val writer2 : t -> pe:int -> int -> int -> int -> int -> unit
+type flat = {
+  lo : int array;
+  extents : int array;
+  data : int array;
+  present : Bytes.t;
+  dirty : Bytes.t;
+}
+(** A live view of a flat chunk's buffers, row-major over the box
+    [lo .. lo + extents − 1]: element [el] sits at offset
+    {!flat_offset}[ lo extents el] and is present iff its [present]
+    byte is nonzero.  A holder may read and update present elements
+    directly but must never create or delete elements — and every
+    direct update {e must} set the matching [dirty] byte nonzero, or
+    delta checkpoints will miss the write.  The compiled kernels read
+    these views on their hit path and call {!reader}/{!writer} on a
+    miss. *)
 
-val flat_view :
-  t ->
-  pe:int ->
-  int ->
-  (int array * int array * int array * Bytes.t * Bytes.t) option
-(** [flat_view m ~pe aid] exposes a compacted chunk as
-    [(lo, extents, data, present, dirty)] — the live buffers, row-major
-    with offset [Σ (el.(p) − lo.(p))·stride(p)], an element present iff
-    its byte is nonzero.  [None] for sparse or absent chunks.  Same
-    validity window as the bound accessors above; callers may read and
-    update present elements directly but must never create or delete
-    elements — and every direct update {e must} set the matching
-    [dirty] byte nonzero, or delta checkpoints will miss the write.
-    This is the compiled backend's zero-call fast path: a kernel
-    inlines the offset arithmetic and falls back to {!reader1}-style
-    closures only on miss. *)
+val flat_offset : int array -> int array -> int array -> int
+(** [flat_offset lo extents el] is [Σ (el.(p) − lo.(p))·stride(p)] with
+    row-major strides, or [-1] when [el] lies outside the box or has
+    another rank. *)
+
+val flat_view : t -> pe:int -> int -> flat option
+(** [flat_view m ~pe aid] exposes a compacted chunk's live buffers;
+    [None] for sparse or absent chunks.  Same validity window as the
+    bound accessors above. *)
 
 (** {2 Chunks built off-machine}
 

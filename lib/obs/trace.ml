@@ -159,23 +159,31 @@ let thread_meta lane =
       ("args", Json.Obj [ ("name", Json.Str (lane_name lane)) ]);
     ]
 
-let to_chrome ?(process_name = "cfalloc") evs =
-  (* Emission order can place an enclosing span after the events it
-     covers (its duration is only known at the end).  Export sorted by
-     start time — ties broken longest-first so parents precede their
-     children — which both nests correctly in the viewer and keeps every
-     lane's timestamps monotone for {!validate_chrome}. *)
-  let evs =
-    List.stable_sort
-      (fun a b ->
-        match compare a.ts b.ts with
-        | 0 ->
+(* The one export order.  Emission order can place an enclosing span
+   after the events it covers (its duration is only known at the end),
+   and PEs emit from several domains, so equal timestamps would keep
+   wall-clock emission order.  Export sorted by start time, ties broken
+   longest-first so parents precede their children, then by lane: this
+   nests correctly in the viewer, keeps every lane's timestamps monotone
+   for {!validate_chrome}, and makes the export deterministic wherever
+   the timestamps are (simulated lanes). *)
+let export_order evs =
+  List.stable_sort
+    (fun a b ->
+      match compare a.ts b.ts with
+      | 0 -> (
+        match
           compare
             (Option.value ~default:0. b.dur)
             (Option.value ~default:0. a.dur)
+        with
+        | 0 -> compare a.lane b.lane
         | c -> c)
-      evs
-  in
+      | c -> c)
+    evs
+
+let to_chrome ?(process_name = "cfalloc") evs =
+  let evs = export_order evs in
   let lanes =
     List.sort_uniq compare (List.map (fun ev -> ev.lane) evs)
   in
@@ -221,7 +229,7 @@ let to_jsonl evs =
       in
       Buffer.add_string b (Json.to_string (Json.Obj fields));
       Buffer.add_char b '\n')
-    evs;
+    (export_order evs);
   Buffer.contents b
 
 (* --- checker --- *)

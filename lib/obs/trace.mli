@@ -105,11 +105,15 @@ val to_chrome : ?process_name:string -> event list -> string
     form), loadable in [chrome://tracing] and Perfetto.  Lanes become
     named threads of one process (host, planner, PE 0..); timestamps
     are exported in microseconds.  Complete spans use phase ["X"],
-    instants phase ["i"]. *)
+    instants phase ["i"].  Events are exported by start time, ties
+    broken longest span first, then by lane; events equal on all three
+    keep their emission order, so a run whose timestamps are
+    deterministic exports the same file whatever order its domains
+    emitted in. *)
 
 val to_jsonl : event list -> string
 (** One JSON object per line, schema mirroring {!event} — the compact
-    machine-readable format. *)
+    machine-readable format — in {!to_chrome}'s order. *)
 
 val validate_chrome : string -> (int, string) result
 (** Check a Chrome trace JSON document: parses, has a [traceEvents]

@@ -171,6 +171,130 @@ let engine_cases =
           (rc.Parexec.mismatches = ri.Parexec.mismatches));
   ]
 
+(* Both backends of one run: the same report and the same extra reading
+   (compute time, serviced traffic). *)
+let same_run run =
+  let rc, xc = run `Compiled and ri, xi = run `Interpreted in
+  rc.Parexec.remote_access = ri.Parexec.remote_access
+  && rc.Parexec.mismatches = ri.Parexec.mismatches
+  && rc.Parexec.per_pe_iterations = ri.Parexec.per_pe_iterations
+  && xc = xi
+
+let indexed_parity nest strategy =
+  let coset = Coset.make nest (Strategy.partitioning_space strategy nest) in
+  same_run (fun backend ->
+      let machine = mk 3 in
+      let r =
+        Parexec.execute_indexed ~backend ~domains:1 ~machine
+          ~placement:(Parexec.cyclic ~nprocs:3) ~strategy coset
+      in
+      (r, Cf_machine.Machine.max_compute_time machine))
+
+(* {2 Every accessor kind against the interpreter}
+
+   A generator local to this suite ([Cf_check.Gen]'s default streams
+   also feed the benchmark inputs, so they stay as they are; they draw
+   only rank-2 arrays and two-read right-hand sides).  It draws
+   uniformly generated nests of depth 1–3 whose arrays each have rank
+   1, 2 or 3 under unit-stride ([iter(q) + c]) or general affine
+   subscripts, with right-hand sides of up to three reads — so every
+   load and store the compiled backend builds is reached: inline rank-1
+   and rank-2 flat paths, offsets from the element at any rank, the
+   general accessor, and the L5 run kernel, whose shape a third of the
+   cases take (rank-2 unit-stride [L := r op1 (s op2 t)]). *)
+
+let access_nest =
+  let open QCheck.Gen in
+  let module E = Cf_loop.Expr in
+  let names = [ "A"; "B"; "C" ] in
+  int_range 1 3 >>= fun depth ->
+  let vars = Array.sub [| "i"; "j"; "k" |] 0 depth in
+  let row unit =
+    if unit then
+      int_range 0 (depth - 1) >|= fun q ->
+      Array.init depth (fun j -> if j = q then 1 else 0)
+    else array_repeat depth (int_range (-2) 2)
+  in
+  let rec matrix ~rank ~unit =
+    array_repeat rank (row unit) >>= fun h ->
+    if Array.exists (Array.exists (( <> ) 0)) h then return h
+    else matrix ~rank ~unit
+  in
+  bool >>= fun l5 ->
+  let l5 = l5 && depth >= 2 in
+  flatten_l
+    (List.map
+       (fun name ->
+         (if l5 then return (2, true)
+          else pair (int_range 1 3) (int_range 0 9 >|= fun u -> u < 6))
+         >>= fun (rank, unit) ->
+         matrix ~rank ~unit >|= fun h -> (name, h))
+       names)
+  >>= fun arrays ->
+  let aref =
+    oneofl arrays >>= fun (name, h) ->
+    array_repeat (Array.length h) (int_range (-2) 2) >|= fun c ->
+    Cf_loop.Aref.make name
+      (List.init (Array.length h) (fun p ->
+           Cf_loop.Affine.of_coeff_vector vars h.(p) c.(p)))
+  in
+  let read = aref >|= fun r -> E.Read r in
+  let op = oneofl [ E.Add; E.Sub; E.Mul ] in
+  let rhs =
+    if l5 then
+      map3 (fun (o1, o2) r (s, t) -> E.Binop (o1, r, E.Binop (o2, s, t)))
+        (pair op op) read (pair read read)
+    else
+      oneof
+        [
+          read;
+          map2 (fun r k -> E.Binop (E.Div, r, E.Const k)) read (int_range 1 3);
+          map3 (fun o r s -> E.Binop (o, r, s)) op read read;
+          map3 (fun (o1, o2) r (s, t) -> E.Binop (o1, r, E.Binop (o2, s, t)))
+            (pair op op) read (pair read read);
+          map3 (fun (o1, o2) (r, s) t -> E.Binop (o1, E.Binop (o2, r, s), t))
+            (pair op op) (pair read read) read;
+        ]
+  in
+  let stmt = map2 Cf_loop.Stmt.make aref rhs in
+  (if l5 then return 1 else int_range 1 2) >>= fun n ->
+  list_repeat n stmt >>= fun body ->
+  let hi = match depth with 1 -> 6 | 2 -> 4 | _ -> 3 in
+  flatten_l
+    (Array.to_list (Array.map (fun v -> int_range 2 hi >|= fun h -> (v, 1, h)) vars))
+  >|= fun levels -> Cf_loop.Nest.rectangular levels body
+
+let arbitrary_access_nest =
+  QCheck.make ~print:(Format.asprintf "@[<v>%a@]" Cf_loop.Nest.pp) access_nest
+
+let accessor_parity nest =
+  let module M = Cf_machine.Machine in
+  let seq =
+    Seqexec.equal_on_written
+      (Seqexec.run ~backend:`Compiled nest)
+      (Seqexec.run ~backend:`Interpreted nest)
+  in
+  let fallback comm_mode =
+    let partition = Commcost.outer_slab_partition nest in
+    same_run (fun backend ->
+        let machine =
+          M.create ~comm_mode (Cf_machine.Topology.linear 3)
+            Cf_machine.Cost.transputer
+        in
+        let r =
+          Parexec.execute_fallback ~backend ~machine
+            ~placement:(Parexec.cyclic ~nprocs:3) partition
+        in
+        ( r,
+          ( M.serviced_reads machine,
+            M.serviced_writes machine,
+            M.serviced_messages machine ) ))
+  in
+  seq
+  && indexed_parity nest Strategy.Duplicate
+  && indexed_parity nest Strategy.Nonduplicate
+  && fallback `Strict && fallback `Service
+
 let properties =
   [
     qtest "compiled = interpreted on 200 seeded 2-deep nests" ~count:200
@@ -187,27 +311,11 @@ let properties =
       Cf_check.Gen.arbitrary_nest3;
     qtest "machine engine backend parity on random nests" ~count:25
       (fun nest ->
-        List.for_all
-          (fun strategy ->
-            let psi = Strategy.partitioning_space strategy nest in
-            let coset = Coset.make nest psi in
-            let placement = Parexec.cyclic ~nprocs:3 in
-            let run backend =
-              let machine = mk 3 in
-              let r =
-                Parexec.execute_indexed ~backend ~domains:1 ~machine
-                  ~placement ~strategy coset
-              in
-              (r, Cf_machine.Machine.max_compute_time machine)
-            in
-            let rc, tc = run `Compiled in
-            let ri, ti = run `Interpreted in
-            rc.Parexec.remote_access = ri.Parexec.remote_access
-            && rc.Parexec.mismatches = ri.Parexec.mismatches
-            && rc.Parexec.per_pe_iterations = ri.Parexec.per_pe_iterations
-            && tc = ti)
+        List.for_all (indexed_parity nest)
           [ Strategy.Nonduplicate; Strategy.Duplicate ])
       arbitrary_nest;
+    qtest "every accessor kind: compiled = interpreted (seq, engine, fallback)"
+      ~count:150 accessor_parity arbitrary_access_nest;
   ]
 
 let suites =

@@ -250,6 +250,23 @@ let trace_cases =
             | Ok v -> check_bool "has name" true (Json.member "name" v <> None)
             | Error e -> Alcotest.fail e)
           lines);
+    Alcotest.test_case "export order does not depend on emission order"
+      `Quick (fun () ->
+        (* Two PEs emitting at the same simulated time from different
+           domains: either interleaving must export the same bytes. *)
+        let emit order =
+          let t = Trace.make (Trace.ring ~capacity:16) in
+          List.iter
+            (fun lane ->
+              Trace.mark t ~lane ~cat:"compile" ~ts:2. "compile";
+              Trace.complete t ~lane ~cat:"compute" ~ts:2. ~dur:1. "block")
+            order;
+          Trace.complete t ~lane:Trace.host_lane ~ts:0. ~dur:3. "distribute";
+          Trace.events t
+        in
+        let a = emit [ 0; 1; 2 ] and b = emit [ 2; 0; 1 ] in
+        check_string "chrome" (Trace.to_chrome a) (Trace.to_chrome b);
+        check_string "jsonl" (Trace.to_jsonl a) (Trace.to_jsonl b));
     Alcotest.test_case "validator rejects malformed traces" `Quick (fun () ->
         let bad s =
           match Trace.validate_chrome s with Ok _ -> false | Error _ -> true
