@@ -500,9 +500,10 @@ let pre_place machine nest coset =
     (Coset.blocks coset);
   Machine.compact machine
 
-(* Execution-only seconds per run, calibrated to ~0.2s of repetitions
-   so single runs too fast for the clock still resolve. *)
-let exec_time ~backend ~domains machine coset =
+(* A sampler of execution-only seconds per run: each sample repeats
+   the run enough times (calibrated once, after a warm-up) to fill
+   ~0.2s, so single runs too fast for the clock still resolve. *)
+let exec_sampler ~backend ~domains machine coset =
   let run () =
     Machine.reset_stats machine;
     ignore
@@ -512,13 +513,20 @@ let exec_time ~backend ~domains machine coset =
   run ();
   let _, once = time run in
   let reps = max 1 (int_of_float (0.2 /. Float.max 1e-6 once)) in
-  let _, t =
-    time2 (fun () ->
-        for _ = 1 to reps do
-          run ()
-        done)
-  in
-  t /. float_of_int reps
+  fun () ->
+    let _, t =
+      time (fun () ->
+          for _ = 1 to reps do
+            run ()
+          done)
+    in
+    t /. float_of_int reps
+
+(* Best of two samples. *)
+let exec_time ~backend ~domains machine coset =
+  let sample = exec_sampler ~backend ~domains machine coset in
+  let a = sample () in
+  Float.min a (sample ())
 
 let placed nest psi_of =
   let coset = Coset.make nest (psi_of nest) in
@@ -526,11 +534,29 @@ let placed nest psi_of =
   pre_place machine nest coset;
   (machine, coset)
 
+(* Each backend's time is the minimum of five samples, taken in
+   alternating order (interpreted first, then compiled first, ...) as
+   [obs_row] does, so host drift lands on both sides; [speedup] is the
+   ratio of the two minima.  A single sample moves by up to 1.5x
+   between runs on a shared host. *)
 let backend_row ~workload ~size build psi_of =
   let nest = build ~size in
   let machine, coset = placed nest psi_of in
-  let interp = exec_time ~backend:`Interpreted ~domains:1 machine coset in
-  let compiled = exec_time ~backend:`Compiled ~domains:1 machine coset in
+  let si = exec_sampler ~backend:`Interpreted ~domains:1 machine coset in
+  let sc = exec_sampler ~backend:`Compiled ~domains:1 machine coset in
+  let interp = ref infinity and compiled = ref infinity in
+  for i = 1 to 5 do
+    let take sample best = best := Float.min !best (sample ()) in
+    if i mod 2 = 1 then begin
+      take si interp;
+      take sc compiled
+    end
+    else begin
+      take sc compiled;
+      take si interp
+    end
+  done;
+  let interp = !interp and compiled = !compiled in
   let iterations = Nest.cardinal nest in
   let per_sec t = num (float_of_int iterations /. t) in
   J.Obj

@@ -166,10 +166,13 @@ let analyze_run level file strategy radius normalize =
                failed and what the communication-minimal tier chose. *)
             if Cf_pipeline.Pipeline.parallelism plan = 0 then begin
               let mc = Cf_mincomm.Mincomm.plan_of_facts facts in
+              let verdicts = Cf_mincomm.Mincomm.verdicts facts in
               List.iter
                 (fun i -> Format.printf "%a@." Cf_pipeline.Diagnose.pp_issue i)
-                (Cf_pipeline.Diagnose.explain_fallback mc);
-              Format.printf "@[<v>%a@]@." Cf_mincomm.Mincomm.describe mc
+                (Cf_pipeline.Diagnose.explain_fallback ~verdicts mc);
+              Format.printf "@[<v>%a@]@."
+                (Cf_mincomm.Mincomm.describe ~verdicts)
+                mc
             end
           end))
 
@@ -210,7 +213,13 @@ let normalize_run level file plan_after =
               | Ok (_, planned) ->
                 (match planned with
                 | Cf_pipeline.Pipeline.Fallback (_, mc) ->
-                  Format.printf "@[<v>%a@]@." Cf_mincomm.Mincomm.describe mc
+                  let verdicts =
+                    Cf_mincomm.Mincomm.verdicts
+                      (Cf_core.Facts.make mc.Cf_mincomm.Mincomm.nest)
+                  in
+                  Format.printf "@[<v>%a@]@."
+                    (Cf_mincomm.Mincomm.describe ~verdicts)
+                    mc
                 | Cf_pipeline.Pipeline.Exact plan ->
                   Format.printf "%a@." Cf_pipeline.Pipeline.describe plan)
               | Error (_, reason) ->

@@ -11,6 +11,14 @@ type t = {
 
 let failf fmt = Format.kasprintf (fun s -> Fail s) fmt
 
+(* The planner's precondition.  A nest that violates it is outside the
+   domain of every oracle that plans, so those oracles skip it before
+   any planning instead of reporting the planner's refusal. *)
+let uniform check nest =
+  if not (Nest.all_uniformly_generated nest) then
+    Skip "non-uniformly-generated references"
+  else check nest
+
 (* Small enough for every oracle: the cyclic placement exercises blocks
    sharing a PE as soon as a nest has more than three blocks. *)
 let nprocs = 3
@@ -31,7 +39,29 @@ let plan_vs_verify nest =
   go Strategy.all
 
 (* coset-parity: the closed-form index against the materialized
-   partition, block by block and member by member. *)
+   partition, block by block and member by member, and the streamed
+   numbering the fallback scorer walks with against the partition's
+   block ids, iteration by iteration. *)
+
+let numbering_parity nest psi ip =
+  let id_of, count = Coset.numbering nest psi in
+  let bad = ref None in
+  Nest.iter_space nest (fun it ->
+      if Option.is_none !bad then begin
+        let id = id_of it in
+        let expected = Iter_partition.block_id_of_iteration ip it in
+        if id <> expected then bad := Some (it, id, expected)
+      end);
+  match !bad with
+  | Some (it, id, expected) ->
+    Some
+      (Format.asprintf "numbering puts iteration %a in B%d, partition in B%d"
+         Cf_linalg.Vec.pp_int it id expected)
+  | None when count () <> Iter_partition.block_count ip ->
+    Some
+      (Printf.sprintf "numbering reached %d blocks vs %d materialized"
+         (count ()) (Iter_partition.block_count ip))
+  | None -> None
 
 let coset_parity nest =
   let check_space strategy =
@@ -76,7 +106,12 @@ let coset_parity nest =
                 (Coset.block_id_of_iteration cs it)
             | None -> go (k + 1)
       in
-      go 0
+      match go 0 with
+      | Pass -> (
+        match numbering_parity nest psi ip with
+        | Some msg -> failf "strategy %a: %s" Strategy.pp strategy msg
+        | None -> Pass)
+      | v -> v
   in
   match check_space Strategy.Nonduplicate with
   | Pass -> check_space Strategy.Duplicate
@@ -437,13 +472,14 @@ let cgen_roundtrip nest =
     end
 
 (* fallback-vs-seq: the communication-minimal tier end to end.  The
-   planner shares one analysis value across the theorems and scores its
-   candidates on the closed-form index, so its plan is first rebuilt
-   from the unshared references: each theorem verdict from its own
-   [Strategy.partitioning_space] under the planner's rule (a minimal
-   theorem is skipped above the exact-analysis limit), each ranked
-   candidate's estimate from the materialized [Iter_partition], and the
-   choice from those partitions' block counts.  The fallback plan of any
+   planner shares one analysis value across its candidates and scores
+   them all in one walk over their streamed block numberings, so its
+   plan is first rebuilt from the unshared references: each theorem
+   verdict ([Mincomm.verdicts] of a fresh analysis value) from its own
+   [Strategy.partitioning_space] under the same rule (a minimal theorem
+   is skipped above the exact-analysis limit), each ranked candidate's
+   estimate from the materialized [Iter_partition], and the choice from
+   those partitions' block counts.  The fallback plan of any
    nest (rejected by the theorems or not) must then execute bit-for-bit
    sequentially on a service-mode machine, its serviced message count
    must equal the planner's prediction on both statement-body backends,
@@ -489,14 +525,15 @@ let fallback_matches_reference nest (mc : Mincomm.t) =
     | Some (c, _, _, _) -> Some c
     | None -> Option.map (fun (c, _, _, _) -> c) (List.nth_opt reference 0)
   in
+  let planned = Mincomm.verdicts (Facts.make nest) in
   let verdicts = List.map (reference_verdict nest) Strategy.all in
   match
     List.find_opt
       (fun ((v : Mincomm.verdict), r) -> v.parallelism <> r)
-      (List.combine mc.theorems verdicts)
+      (List.combine planned verdicts)
   with
   | exception Invalid_argument _ ->
-    failf "%d theorem verdict(s), expected %d" (List.length mc.theorems)
+    failf "%d theorem verdict(s), expected %d" (List.length planned)
       (List.length Strategy.all)
   | Some (v, r) ->
     failf "theorem %d: %a, reference %a"
@@ -571,9 +608,7 @@ let fallback_runs_sequential nest (mc : Mincomm.t) =
   else Pass
 
 let fallback_vs_seq nest =
-  if not (Nest.all_uniformly_generated nest) then
-    Skip "non-uniformly-generated references"
-  else if Nest.cardinal nest = 0 then Skip "empty iteration space"
+  if Nest.cardinal nest = 0 then Skip "empty iteration space"
   else if Cf_exec.Compile.max_rank (Cf_exec.Compile.make nest) > 7 then
     Skip "subscript arity exceeds the packed-coordinate limit"
   else begin
@@ -610,23 +645,23 @@ let all =
   [
     { name = "plan-vs-verify";
       doc = "Theorem 1-4 planners vs Verify on the concrete space";
-      check = plan_vs_verify };
+      check = uniform plan_vs_verify };
     { name = "coset-parity";
       doc = "closed-form Coset index vs materialized Iter_partition";
-      check = coset_parity };
+      check = uniform coset_parity };
     { name = "parexec-vs-seq";
       doc =
         "engine and materialized reference vs the sequential interpreter; \
          charged bulk vs element-wise distribution";
-      check = parexec_vs_seq };
+      check = uniform parexec_vs_seq };
     { name = "fault-recovery-identical";
       doc = "crash recovery reproduces the fault-free result";
-      check = fault_recovery };
+      check = uniform fault_recovery };
     { name = "delta-checkpoint-identical";
       doc =
         "journaled delta checkpoints recover bit-for-bit like full deep \
          copies, per-round cadence, both backends, all strategies";
-      check = delta_checkpoint };
+      check = uniform delta_checkpoint };
     { name = "compiled-vs-interpreted";
       doc =
         "closure-specialized backend bit-for-bit vs the interpreter: \
@@ -644,7 +679,7 @@ let all =
         "fallback verdicts, scores and choice match the unshared \
          Iter_partition reference; runs bit-for-bit sequential; \
          predicted volume = serviced messages";
-      check = fallback_vs_seq };
+      check = uniform fallback_vs_seq };
     { name = "normalize-roundtrip";
       doc =
         "normalization witnesses reconstruct the original and replay \

@@ -26,7 +26,10 @@ val all : t list
       {!Cf_core.Verify.check_strategy} on the concrete iteration space;
     - [coset-parity]: closed-form {!Cf_core.Coset} indexing is
       bit-for-bit identical to the materialized
-      {!Cf_core.Iter_partition} oracle (ids, bases, sizes, members);
+      {!Cf_core.Iter_partition} oracle (ids, bases, sizes, members),
+      and {!Cf_core.Coset.numbering}, walked in lexicographic order,
+      gives every iteration the partition's block id and reaches its
+      block count;
     - [parexec-vs-seq]: the materialized and the indexed parallel
       engines both reproduce the sequential interpreter, with identical
       per-PE iteration counts; charged, the engine's bulk chunk sends
@@ -35,6 +38,9 @@ val all : t list
       trace, makespan, every PE's local memory);
     - [fault-recovery-identical]: a run with a killed PE recovers to the
       exact fault-free (sequential) result;
+    - [delta-checkpoint-identical]: journaled delta checkpoints recover
+      bit-for-bit like full deep copies under a seeded fault plan, on
+      both backends and all four strategies;
     - [compiled-vs-interpreted]: the closure-specialized execution
       backend ({!Cf_exec.Compile}) is bit-for-bit identical to the AST
       interpreter — sequential memories on every nest, then
@@ -48,7 +54,8 @@ val all : t list
       [forall] nest (the iteration order the C back end emits) matches
       the sequential interpreter, and emission is deterministic;
     - [fallback-vs-seq]: the communication-minimal fallback tier's
-      plan matches its unshared reference — every theorem verdict equals
+      plan matches its unshared reference — every theorem verdict
+      ({!Cf_mincomm.Mincomm.verdicts} of a fresh analysis value) equals
       that strategy's own {!Cf_core.Strategy.partitioning_space} answer
       (a minimal theorem skipped above
       {!Cf_dep.Exact.analysis_limit}), every ranked candidate's estimate
@@ -62,7 +69,14 @@ val all : t list
       and bit-for-bit sequential replay through the witness data maps —
       and [Pipeline.plan_normalized] accepts exactly the nests
       normalization makes uniformly generated.  The only oracle meant
-      for {e unnormalized} generator streams. *)
+      for {e unnormalized} generator streams.
+
+    Every oracle that plans needs uniformly generated references, the
+    planner's precondition: [plan-vs-verify], [coset-parity],
+    [parexec-vs-seq], [fault-recovery-identical],
+    [delta-checkpoint-identical] and [fallback-vs-seq] return [Skip]
+    on any other nest before planning, and [compiled-vs-interpreted]
+    skips after its sequential comparison. *)
 
 val find : string -> t option
 val names : string list

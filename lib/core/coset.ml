@@ -6,13 +6,24 @@ open Cf_loop
 module Key = struct
   type t = int array
 
+  (* Loops, not closures: the fallback scorer looks a key up per
+     iteration and candidate, and must not allocate to do so. *)
   let equal (a : int array) b =
-    Array.length a = Array.length b
+    let n = Array.length a in
+    n = Array.length b
     &&
-    let rec go i = i < 0 || (a.(i) = b.(i) && go (i - 1)) in
-    go (Array.length a - 1)
+    let i = ref 0 in
+    while !i < n && a.(!i) = b.(!i) do
+      incr i
+    done;
+    !i = n
 
-  let hash a = Array.fold_left (fun h x -> (h * 31) + x) 17 a land max_int
+  let hash a =
+    let h = ref 17 in
+    for i = 0 to Array.length a - 1 do
+      h := (!h * 31) + a.(i)
+    done;
+    !h land max_int
 end
 
 module Ktbl = Hashtbl.Make (Key)
@@ -75,22 +86,53 @@ let coset_map n space =
       in
       (proj, b))
 
-let key_of_proj proj iter =
-  Array.map
-    (fun row ->
-      let acc = ref 0 in
-      Array.iteri (fun c x -> acc := Oint.add !acc (Oint.mul x iter.(c))) row;
-      !acc)
-    proj
+(* φ(iter) into [key], overflow-checked. *)
+let key_into proj iter key =
+  for r = 0 to Array.length proj - 1 do
+    let row = proj.(r) in
+    let acc = ref 0 in
+    for c = 0 to Array.length row - 1 do
+      acc := Oint.add !acc (Oint.mul row.(c) iter.(c))
+    done;
+    key.(r) <- !acc
+  done
 
-let key_of t iter = key_of_proj t.proj iter
+let key_of t iter =
+  let key = Array.make (Array.length t.proj) 0 in
+  key_into t.proj iter key;
+  key
 
-type disco = { pos : int; dbase : int array; mutable dsize : int }
+(* The block discovery both [make] and [numbering] run: [id_of iter]
+   numbers [iter]'s block by first sight, 1-based.  φ is computed into
+   one scratch key, copied only when it names a new block; the table
+   maps each block's key to its id. *)
+let discovery proj =
+  let index = Ktbl.create 256 in
+  let key = Array.make (Array.length proj) 0 in
+  let id_of iter =
+    key_into proj iter key;
+    match Ktbl.find index key with
+    | id -> id
+    | exception Not_found ->
+      let id = Ktbl.length index + 1 in
+      Ktbl.add index (Array.copy key) id;
+      id
+  in
+  (index, id_of)
+
+let check_dim name nest space =
+  if Subspace.ambient_dim space <> Nest.depth nest then
+    invalid_arg (name ^ ": ambient dimension mismatch")
+
+let numbering nest space =
+  check_dim "Coset.numbering" nest space;
+  let proj, _ = coset_map (Nest.depth nest) space in
+  let index, id_of = discovery proj in
+  (id_of, fun () -> Ktbl.length index)
 
 let make nest space =
   let n = Nest.depth nest in
-  if Subspace.ambient_dim space <> n then
-    invalid_arg "Coset.make: ambient dimension mismatch";
+  check_dim "Coset.make" nest space;
   let proj, gens = coset_map n space in
   let hnf = Hnf.compute (Array.to_list (Array.map Array.copy gens)) in
   let lattice = hnf.Hnf.basis and pivots = hnf.Hnf.pivots in
@@ -113,23 +155,24 @@ let make nest space =
      means a block's first-seen iteration is its base point, and
      first-seen order is base-point lexicographic order — exactly the
      oracle's 1-based numbering.  Nothing per-iteration is retained;
-     memory is O(#blocks). *)
-  let found = Ktbl.create 256 in
-  let count = ref 0 in
+     memory is O(#blocks).  [Nest.iter_space] hands over a fresh array
+     per iteration, so a new block keeps it as its base. *)
+  let index, id_of = discovery proj in
+  let bases = ref [] and sizes = ref (Array.make 64 0) in
   Nest.iter_space nest (fun iter ->
-      let key = key_of_proj proj iter in
-      match Ktbl.find_opt found key with
-      | Some d -> d.dsize <- d.dsize + 1
-      | None ->
-        Ktbl.add found key { pos = !count; dbase = Array.copy iter; dsize = 1 };
-        incr count);
-  let blocks = Array.make !count { id = 0; base = [||]; size = 0 } in
-  let index = Ktbl.create (max 16 (2 * !count)) in
-  Ktbl.iter
-    (fun key d ->
-      blocks.(d.pos) <- { id = d.pos + 1; base = d.dbase; size = d.dsize };
-      Ktbl.replace index key (d.pos + 1))
-    found;
+      let id = id_of iter in
+      if id > Array.length !sizes then begin
+        let grown = Array.make (2 * id) 0 in
+        Array.blit !sizes 0 grown 0 (Array.length !sizes);
+        sizes := grown
+      end;
+      let s = !sizes in
+      if s.(id - 1) = 0 then bases := iter :: !bases;
+      s.(id - 1) <- s.(id - 1) + 1);
+  let blocks =
+    Array.of_list (List.rev !bases)
+    |> Array.mapi (fun i base -> { id = i + 1; base; size = !sizes.(i) })
+  in
   {
     nest;
     space;

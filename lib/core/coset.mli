@@ -16,9 +16,11 @@
 
     Construction performs a single streaming pass over the iteration
     space to assign the oracle's 1-based, base-point-ordered block ids
-    (O(#blocks) memory, nothing per-iteration).  Numbering, base points,
-    sizes, and member order are bit-for-bit identical to
-    {!Iter_partition}, which remains the reference oracle in tests. *)
+    (O(#blocks) memory, nothing per-iteration); {!numbering} streams
+    the same ids to a caller's own walk without building the index.
+    Numbering, base points, sizes, and member order are bit-for-bit
+    identical to {!Iter_partition}, which remains the reference oracle
+    in tests. *)
 
 open Cf_linalg
 open Cf_loop
@@ -32,6 +34,17 @@ type t
 val make : Nest.t -> Subspace.t -> t
 (** [make nest psi] builds the index.  Raises [Invalid_argument] when
     the subspace's ambient dimension differs from the nest depth. *)
+
+val numbering : Nest.t -> Subspace.t -> (int array -> int) * (unit -> int)
+(** [numbering nest psi] numbers blocks without building the index:
+    [(id_of, count)], where [id_of iter], called on the nest's
+    iterations in lexicographic order, returns [iter]'s block id exactly
+    as {!make} numbers it (by first sight, 1-based), and [count ()] is
+    the number of blocks seen so far — {!block_count} once the whole
+    space is walked.  [id_of] computes φ into one scratch key, copies it
+    only when a new block appears, and does not retain [iter], so a
+    walker may hand it a reused buffer.  It does not test membership.
+    Raises [Invalid_argument] as {!make} does. *)
 
 val nest : t -> Nest.t
 val space : t -> Subspace.t

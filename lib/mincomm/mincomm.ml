@@ -18,7 +18,6 @@ type verdict = { strategy : Strategy.t; parallelism : int option }
 type t = {
   nest : Nest.t;
   nprocs : int;
-  theorems : verdict list;
   comm_free : bool;
   choice : candidate;
   partition : Iter_partition.t;
@@ -107,6 +106,11 @@ let candidates_of facts =
 let candidates ?search_radius nest =
   candidates_of (Facts.make ?search_radius nest)
 
+let verdicts facts =
+  List.map
+    (fun strategy -> { strategy; parallelism = Facts.verdict facts strategy })
+    Strategy.all
+
 (* {2 First-touch volume estimator}
 
    One pass over the iteration space in execution order.  An element's
@@ -117,18 +121,21 @@ let candidates ?search_radius nest =
    followed by [Parexec.execute_fallback]'s servicing rule, which is why
    predicted counts equal simulated ones. *)
 
-let first_touch prog ~placement ~block_count ~block_of nest =
+(* The reference scorer, over a materialized partition. *)
+let estimate_partition ~placement partition =
+  let nest = Iter_partition.nest partition in
+  let prog = Compile.make nest in
   let sites = Compile.sites prog in
   let homes =
     Array.map
       (fun _ -> (Hashtbl.create 64 : (int, int) Hashtbl.t))
       (Compile.arrays prog)
   in
-  let per_block = Array.make block_count 0 in
+  let per_block = Array.make (Iter_partition.block_count partition) 0 in
   let rr = ref 0 and rw = ref 0 in
   let scratch = Compile.scratch sites in
   Nest.iter_space nest (fun iter ->
-      let block = block_of iter in
+      let block = Iter_partition.block_id_of_iteration partition iter in
       let pe = placement block in
       Array.iteri
         (fun si ->
@@ -148,25 +155,97 @@ let first_touch prog ~placement ~block_count ~block_of nest =
         sites);
   { messages = !rr + !rw; remote_reads = !rr; remote_writes = !rw; per_block }
 
-let estimate_partition ~placement partition =
-  let nest = Iter_partition.nest partition in
-  first_touch (Compile.make nest) ~placement
-    ~block_count:(Iter_partition.block_count partition)
-    ~block_of:(Iter_partition.block_id_of_iteration partition)
-    nest
+(* Packed coordinates to dense element numbers.  A packed key's low
+   three bits are its arity, so the hash mixes the high bits down. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
 
-(* The production scorer: the same pass over the closed-form index,
-   whose block ids are [Iter_partition]'s (the coset-parity oracle). *)
-let estimate_coset prog ~placement coset =
-  first_touch prog ~placement
-    ~block_count:(Coset.block_count coset)
-    ~block_of:(Coset.block_id_of_iteration coset)
-    (Coset.nest coset)
+  let equal (a : int) b = a = b
+
+  let hash x =
+    let h = x * 0x1E3779B97F4A7C15 in
+    h lxor (h lsr 29)
+end)
+
+let grow a n =
+  if n <= Array.length a then a
+  else begin
+    let b = Array.make (max n (2 * Array.length a)) 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+(* The production scorer: every space scored in one walk.  Per
+   iteration, each space's {!Coset.numbering} gives its block and
+   [placement] the block's PE; each site's element is evaluated, packed
+   and numbered once, in execution order (statements in order, each
+   one's write before its reads).  Element [e] of an array has its home
+   under space [c] at [e * k + c] of that array's dense [homes] row.
+   An element seen for the first time is homed on every space's current
+   PE at once, so no access to it in this iteration is remote; every
+   other access is checked against each space's home.  Only a first
+   sighting — a new element or a new block — allocates.  Returns each
+   space's block count and estimate. *)
+let score ~placement nest spaces =
+  let k = Array.length spaces in
+  let prog = Compile.make nest in
+  let numberings = Array.map (Coset.numbering nest) spaces in
+  let id_of = Array.map fst numberings in
+  let sites = Compile.sites prog in
+  let scratch = Compile.scratch sites in
+  let numbers = Array.map (fun _ -> Itbl.create 64) (Compile.arrays prog) in
+  let homes = Array.map (fun _ -> [||]) numbers in
+  let block = Array.make k 0 and pe = Array.make k 0 in
+  let rr = Array.make k 0 and rw = Array.make k 0 in
+  let per_block = Array.make k [||] in
+  Compile.iter_space nest (fun iter ->
+      for c = 0 to k - 1 do
+        let b = id_of.(c) iter in
+        block.(c) <- b;
+        pe.(c) <- placement b;
+        if b > Array.length per_block.(c) then
+          per_block.(c) <- grow per_block.(c) b
+      done;
+      for si = 0 to Array.length sites - 1 do
+        let ss = sites.(si) and sc = scratch.(si) in
+        for j = 0 to Array.length ss - 1 do
+          let s = ss.(j) and el = sc.(j) in
+          Compile.Site.eval_into s iter el;
+          let slot = s.Compile.Site.slot in
+          let packed = Machine.pack_coords el in
+          match Itbl.find numbers.(slot) packed with
+          | e ->
+            let h = homes.(slot) and row = e * k in
+            let remote = if j = 0 then rw else rr in
+            for c = 0 to k - 1 do
+              if h.(row + c) <> pe.(c) then begin
+                remote.(c) <- remote.(c) + 1;
+                let pb = per_block.(c) and b = block.(c) - 1 in
+                pb.(b) <- pb.(b) + 1
+              end
+            done
+          | exception Not_found ->
+            let e = Itbl.length numbers.(slot) in
+            Itbl.add numbers.(slot) packed e;
+            let h = grow homes.(slot) ((e + 1) * k) in
+            homes.(slot) <- h;
+            Array.blit pe 0 h (e * k) k
+        done
+      done);
+  Array.mapi
+    (fun c (_, count) ->
+      let blocks = count () in
+      ( blocks,
+        {
+          messages = rr.(c) + rw.(c);
+          remote_reads = rr.(c);
+          remote_writes = rw.(c);
+          per_block = Array.sub per_block.(c) 0 blocks;
+        } ))
+    numberings
 
 let estimate ~nprocs nest space =
-  estimate_coset (Compile.make nest)
-    ~placement:(Parexec.cyclic ~nprocs)
-    (Coset.make nest space)
+  snd (score ~placement:(Parexec.cyclic ~nprocs) nest [| space |]).(0)
 
 let plan_of_facts ?(nprocs = 4) facts =
   let nest = Facts.nest facts in
@@ -175,27 +254,20 @@ let plan_of_facts ?(nprocs = 4) facts =
     invalid_arg "Mincomm.plan: empty iteration space";
   if not (Nest.all_uniformly_generated nest) then
     invalid_arg "Mincomm.plan: arrays must be uniformly generated";
-  let theorems =
-    List.map
-      (fun strategy -> { strategy; parallelism = Facts.verdict facts strategy })
-      Strategy.all
-  in
   let psi_nd = Facts.partitioning_space facts Strategy.Nonduplicate in
   let comm_free = Strategy.parallelism_degree psi_nd > 0 in
   let cands =
     if comm_free then [ { origin = "theorem-1"; space = psi_nd } ]
     else candidates_of facts
   in
-  (* Each candidate is scored on its closed-form index, which is dropped
-     once scored; only the chosen one is materialized below. *)
-  let prog = Compile.make nest in
-  let placement = Parexec.cyclic ~nprocs in
+  (* Every candidate is scored in one walk; only the chosen one is
+     materialized below. *)
+  let scores =
+    score ~placement:(Parexec.cyclic ~nprocs) nest
+      (Array.of_list (List.map (fun c -> c.space) cands))
+  in
   let scored =
-    List.map
-      (fun c ->
-        let coset = Coset.make nest c.space in
-        (c, Coset.block_count coset, estimate_coset prog ~placement coset))
-      cands
+    List.mapi (fun i c -> (c, fst scores.(i), snd scores.(i))) cands
   in
   let sorted =
     List.stable_sort
@@ -218,7 +290,6 @@ let plan_of_facts ?(nprocs = 4) facts =
   {
     nest;
     nprocs;
-    theorems;
     comm_free;
     choice;
     partition = Iter_partition.make nest choice.space;
@@ -268,7 +339,7 @@ let relabel t nest =
 
 let servable t = Iter_partition.block_count t.partition >= 2
 
-let describe ppf t =
+let describe ~verdicts ppf t =
   Format.fprintf ppf "@[<v>";
   List.iter
     (fun v ->
@@ -279,7 +350,7 @@ let describe ppf t =
         | Some 0 -> "rejected (dim Psi = n, no parallelism)"
         | Some p -> Printf.sprintf "parallelism %d" p
         | None -> "skipped (iteration space too large for exact analysis)"))
-    t.theorems;
+    verdicts;
   if t.comm_free then
     Format.fprintf ppf "plan: exact (communication-free) via %s@,"
       t.choice.origin

@@ -22,13 +22,16 @@
     exact [Ψ] — the fallback tier degrades to the theorem answer.
 
     Planning reads every space from one {!Cf_core.Facts.t}: the theorem
-    verdicts, the theorem spaces and the per-array candidates share its
-    dependences, [Ψ_A], [Ψ^r_A] and exact analysis, and
-    {!Cf_pipeline.Pipeline.plan_serve} hands over the value it planned
-    with.  Candidates are scored on their closed-form
-    {!Cf_core.Coset} index, whose block ids are {!Cf_core.Iter_partition}'s,
-    with the nest compiled once per plan; only the chosen candidate is
-    materialized as an {!Cf_core.Iter_partition.t}. *)
+    spaces and the per-array candidates share its dependences, [Ψ_A]
+    and [Ψ^r_A], and {!Cf_pipeline.Pipeline.plan_serve} hands over the
+    value it planned with.  Every candidate is scored in one walk of the
+    iteration space: each access's element is numbered once, each
+    candidate's block ids are streamed by {!Cf_core.Coset.numbering}
+    (numbered exactly as {!Cf_core.Iter_partition} numbers them), and
+    first-touch homes sit in dense arrays; only the chosen candidate is
+    materialized as an {!Cf_core.Iter_partition.t}.  The per-theorem
+    verdicts are not part of a plan: {!verdicts} computes them where
+    they are printed or checked. *)
 
 open Cf_core
 open Cf_linalg
@@ -57,11 +60,11 @@ type verdict = {
       (** [Some 0] = rejected (dim Ψ = n); [None] = analysis skipped
           (exact analysis on too large a space) *)
 }
+(** One theorem's answer on a nest, as {!verdicts} computes it. *)
 
 type t = {
   nest : Cf_loop.Nest.t;
   nprocs : int;
-  theorems : verdict list;  (** one per {!Strategy.all}, in order *)
   comm_free : bool;
       (** Theorem 1 grants parallelism — the plan below is exact and
           has zero predicted volume *)
@@ -75,6 +78,14 @@ type t = {
 
 val theorem_number : Strategy.t -> int
 (** 1–4, matching the paper. *)
+
+val verdicts : Facts.t -> verdict list
+(** One verdict per {!Strategy.all}, in order: {!Facts.verdict}, so a
+    minimal theorem is skipped ([None]) on spaces larger than
+    {!Cf_dep.Exact.analysis_limit}.  Planning never reads them; the
+    callers that print or check them ([cfalloc analyze], [normalize
+    --plan], [fallback-vs-seq]) compute them from the analysis value
+    they hold. *)
 
 val candidates : ?search_radius:int -> Cf_loop.Nest.t -> candidate list
 (** Candidate partitioning subspaces of dimension [< n], deduplicated
@@ -90,33 +101,33 @@ val estimate_partition :
     id to PE), by one pass over the iteration space in execution order
     applying the first-touch home rule.  Exact for
     {!Cf_exec.Parexec.execute_fallback} on a [`Service]-mode machine
-    with the same placement.  The reference scorer: {!plan} runs the
-    same pass over each candidate's {!Coset} index instead, and the
-    [fallback-vs-seq] oracle checks the two agree. *)
+    with the same placement.  The reference scorer: {!plan} scores all
+    its candidates in one walk over their {!Coset.numbering}s instead,
+    and the [fallback-vs-seq] oracle checks the two agree. *)
 
 val estimate : nprocs:int -> Cf_loop.Nest.t -> Subspace.t -> estimate
 (** The predicted volume of [P_Ψ] under the cyclic placement on
-    [nprocs] PEs, scored on [P_Ψ]'s {!Coset} index as {!plan} scores
-    candidates; equal to [estimate_partition] of the materialized
-    partition.  Raises [Invalid_argument] when the subspace's ambient
-    dimension differs from the nest depth. *)
+    [nprocs] PEs, by {!plan}'s one-walk scorer over this one space;
+    equal to [estimate_partition] of the materialized partition.
+    Raises [Invalid_argument] when the subspace's ambient dimension
+    differs from the nest depth. *)
 
 val plan : ?search_radius:int -> ?nprocs:int -> Cf_loop.Nest.t -> t
 (** The fallback plan ([nprocs] defaults to 4): {!plan_of_facts} over a
     fresh {!Facts.t} of the nest. *)
 
 val plan_of_facts : ?nprocs:int -> Facts.t -> t
-(** The fallback plan of the analysis value's nest.  Every theorem's
-    verdict is {!Facts.verdict} (a minimal theorem is skipped on spaces
-    larger than {!Cf_dep.Exact.analysis_limit}); when Theorem 1 grants
-    parallelism the exact [Ψ] is the single candidate (zero volume by
-    construction), otherwise all {!candidates} of the value's spaces
-    are evaluated and ranked.  The choice is the best-ranked candidate
-    that yields at least two blocks when one exists — a single-block
-    "plan" is just sequential execution renamed — and the overall best
-    otherwise.  Requires a non-empty iteration space and every array
-    uniformly generated (the theorem machinery's own precondition);
-    raises [Invalid_argument] otherwise. *)
+(** The fallback plan of the analysis value's nest.  When Theorem 1
+    grants parallelism the exact [Ψ] is the single candidate (zero
+    volume by construction), otherwise all {!candidates} of the value's
+    spaces are scored, in one walk of the iteration space, and ranked.
+    No exact analysis runs: the candidates need only the Theorem 1 and
+    2 spaces and the per-array ones.  The choice is the best-ranked
+    candidate that yields at least two blocks when one exists — a
+    single-block "plan" is just sequential execution renamed — and the
+    overall best otherwise.  Requires a non-empty iteration space and
+    every array uniformly generated (the theorem machinery's own
+    precondition); raises [Invalid_argument] otherwise. *)
 
 val relabel : t -> Cf_loop.Nest.t -> t
 (** [relabel t nest] re-expresses a fallback plan under the caller's
@@ -125,19 +136,19 @@ val relabel : t -> Cf_loop.Nest.t -> t
     condition).  Arrays correspond by position of textual occurrence
     (each statement's write, then its reads), so origins naming an
     array — ["psi[A]"], ["psi_r[A]"], ["join-minus[A]"] — name the
-    caller's array; spaces, estimates, verdicts and the partition's
-    blocks are shared untouched.  The ranking is not redone: candidates
-    that tie on volume and dimension keep the order their {e old}
-    origins gave them, so the relabeled choice can be another candidate
-    than a cold {!plan} of [nest] picks — never one of another predicted
-    volume, dimension or {!servable} verdict.  Raises
-    [Invalid_argument] when the depth or the number of array occurrences
-    differs. *)
+    caller's array; spaces, estimates and the partition's blocks are
+    shared untouched.  The ranking is not redone: candidates that tie
+    on volume and dimension keep the order their {e old} origins gave
+    them, so the relabeled choice can be another candidate than a cold
+    {!plan} of [nest] picks — never one of another predicted volume,
+    dimension or {!servable} verdict.  Raises [Invalid_argument] when
+    the depth or the number of array occurrences differs. *)
 
 val servable : t -> bool
 (** The chosen partition has at least two blocks: executing it spreads
     work over more than one PE, so the plan is worth serving. *)
 
-val describe : Format.formatter -> t -> unit
-(** Human-readable report: per-theorem verdicts, the chosen candidate
-    with its predicted volume, and the ranked runner-ups. *)
+val describe : verdicts:verdict list -> Format.formatter -> t -> unit
+(** Human-readable report: the given per-theorem [verdicts] (normally
+    {!verdicts} of the analysis value the plan came from), the chosen
+    candidate with its predicted volume, and the ranked runner-ups. *)

@@ -82,9 +82,9 @@ let check nest =
 
 let usable issues = not (List.exists (fun i -> i.severity = Error) issues)
 
-let explain_fallback (mc : Cf_mincomm.Mincomm.t) =
+let explain_fallback ~verdicts:theorems (mc : Cf_mincomm.Mincomm.t) =
   let open Cf_mincomm.Mincomm in
-  let verdicts =
+  let rejections =
     List.filter_map
       (fun v ->
         match v.parallelism with
@@ -113,7 +113,7 @@ let explain_fallback (mc : Cf_mincomm.Mincomm.t) =
                   (Cf_core.Strategy.to_string v.strategy);
             }
         | Some _ -> None)
-      mc.theorems
+      theorems
   in
   let chosen =
     {
@@ -129,7 +129,7 @@ let explain_fallback (mc : Cf_mincomm.Mincomm.t) =
           mc.estimate.remote_writes;
     }
   in
-  verdicts @ [ chosen ]
+  rejections @ [ chosen ]
 
 let pp_issue ppf i =
   let tag =

@@ -23,10 +23,15 @@ val check : Cf_loop.Nest.t -> issue list
 val usable : issue list -> bool
 (** No error present. *)
 
-val explain_fallback : Cf_mincomm.Mincomm.t -> issue list
+val explain_fallback :
+  verdicts:Cf_mincomm.Mincomm.verdict list ->
+  Cf_mincomm.Mincomm.t ->
+  issue list
 (** Why the theorems rejected the nest and what the fallback tier chose
     instead: one [theorem-rejected] (or [theorem-skipped]) info per
-    failing theorem, then a [fallback-chosen] info carrying the chosen
+    failing theorem of [verdicts] (normally
+    {!Cf_mincomm.Mincomm.verdicts} of the analysis value the plan came
+    from), then a [fallback-chosen] info carrying the chosen
     candidate's origin, subspace and predicted message volume. *)
 
 val pp_issue : Format.formatter -> issue -> unit

@@ -115,9 +115,9 @@ val plan_serve :
     partitioned nor transformed, and the analysis value [plan] read its
     spaces from goes to {!Cf_mincomm.Mincomm.plan_of_facts}, so the
     nest is analysed once per call.  One [fallback-plan] obs span covers
-    the theorem verdicts, candidate search and volume estimation
-    ([nprocs], default 4, sizes the placement the volumes are predicted
-    for), and [basis] applies to the fallback's transform.  The value is
+    the candidate search and volume estimation ([nprocs], default 4,
+    sizes the placement the volumes are predicted for), and [basis]
+    applies to the fallback's transform.  The value is
     dropped when the call returns; the plan does not hold it. *)
 
 val plan_normalized :

@@ -37,10 +37,17 @@ let run_cli args =
     Some (status, contents)
   end
 
-let contains hay needle =
+(* The end of [needle]'s first occurrence in [hay] at or after [from]. *)
+let find_from hay from needle =
   let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
+  let rec go i =
+    if i + nl > hl then None
+    else if String.sub hay i nl = needle then Some (i + nl)
+    else go (i + 1)
+  in
+  go from
+
+let contains hay needle = Option.is_some (find_from hay 0 needle)
 
 let expect_ok ?(expected_status = 0) name args needles =
   Alcotest.test_case name `Slow (fun () ->
@@ -54,6 +61,30 @@ let expect_ok ?(expected_status = 0) name args needles =
               (Printf.sprintf "%s mentions %S" name needle)
               true (contains out needle))
           needles)
+
+(* [needles] appear in [out] in this order, each after the previous
+   one's end; [count] pins how often [tag] occurs. *)
+let expect_in_order name args ~tag ~count needles =
+  Alcotest.test_case name `Slow (fun () ->
+      match run_cli args with
+      | None -> ()
+      | Some (status, out) ->
+        check_int (name ^ " exit code") 0 status;
+        let rec occurrences from n =
+          match find_from out from tag with
+          | None -> n
+          | Some next -> occurrences next (n + 1)
+        in
+        check_int (Printf.sprintf "%s: %S lines" name tag) count
+          (occurrences 0 0);
+        ignore
+          (List.fold_left
+             (fun from needle ->
+               match find_from out from needle with
+               | Some next -> next
+               | None ->
+                 Alcotest.failf "%s: %S missing or out of order" name needle)
+             0 needles))
 
 (* Rewrites the first leaf of [doc] that [pick key leaf] accepts, where
    [key] is the field holding the leaf.  Returns that leaf's bench-diff
@@ -446,6 +477,35 @@ let cases =
         "communication: 3 serviced message(s) (3 read, 0 write)";
         "serviced: 3 message(s) (3 read(s), 0 write(s))";
         "results: match sequential" ];
+    (* L3 is rejected by Theorems 1-3 and has parallelism 1 under
+       Theorem 4: three rejection diagnostics, then four verdict
+       lines. *)
+    expect_in_order "analyze prints L3's theorem verdicts in order"
+      [ "analyze"; loop "l3.loop" ]
+      ~tag:"[theorem-rejected]" ~count:3
+      [ "info [theorem-rejected]: Theorem 1 (nonduplicate) rejects the nest";
+        "info [theorem-rejected]: Theorem 2 (duplicate) rejects the nest";
+        "info [theorem-rejected]: Theorem 3 (min-nonduplicate) rejects the \
+         nest";
+        "info [fallback-chosen]: fallback partition axis[1]";
+        "Theorem 1 (nonduplicate): rejected (dim Psi = n, no parallelism)";
+        "Theorem 2 (duplicate): rejected (dim Psi = n, no parallelism)";
+        "Theorem 3 (min-nonduplicate): rejected (dim Psi = n, no \
+         parallelism)";
+        "Theorem 4 (min-duplicate): parallelism 1";
+        "plan: fallback axis[1] = span{(0, 1)}" ];
+    (* The recurrence is rejected by all four theorems; its verdicts are
+       those of the shifted (normalized) nest the plan was made for. *)
+    expect_in_order "normalize --plan prints all four verdict lines"
+      [ "normalize"; loop "recurrence.loop"; "--plan" ]
+      ~tag:"): rejected (dim Psi = n, no parallelism)" ~count:4
+      [ "normalized loop:";
+        "Theorem 1 (nonduplicate): rejected (dim Psi = n, no parallelism)";
+        "Theorem 2 (duplicate): rejected (dim Psi = n, no parallelism)";
+        "Theorem 3 (min-nonduplicate): rejected (dim Psi = n, no \
+         parallelism)";
+        "Theorem 4 (min-duplicate): rejected (dim Psi = n, no parallelism)";
+        "plan: fallback free = span{}" ];
     expect_ok "malformed comm-mode exits 2"
       ~expected_status:2
       [ "simulate"; loop "l1.loop"; "--comm-mode"; "bogus" ]

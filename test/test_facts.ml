@@ -159,7 +159,9 @@ let verdict_limit_rule () =
     Strategy.all
 
 (* plan_serve hands its analysis value to the fallback tier; the plan
-   must be the one a fresh Mincomm.plan computes. *)
+   must be the one a fresh Mincomm.plan computes.  [cfalloc analyze]
+   prints the verdicts of the value it planned with, which must be a
+   fresh value's. *)
 let handover_keeps_the_plan () =
   let nests =
     all_paper_loops
@@ -184,8 +186,11 @@ let handover_keeps_the_plan () =
                   Printf.sprintf "%s under %s" name
                     (Strategy.to_string strategy)
                 in
+                let planned = Facts.make ?search_radius nest in
+                ignore (Pipeline.plan_of_facts ~strategy planned);
                 check_bool (tag ^ ": verdicts") true
-                  (mc.Mincomm.theorems = fresh.Mincomm.theorems);
+                  (Mincomm.verdicts planned
+                  = Mincomm.verdicts (Facts.make ?search_radius nest));
                 check_string (tag ^ ": choice") fresh.Mincomm.choice.origin
                   mc.Mincomm.choice.origin;
                 let origins (p : Mincomm.t) =

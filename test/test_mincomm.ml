@@ -134,7 +134,7 @@ let plan_chain () =
         (Printf.sprintf "theorem %d rejects" (M.theorem_number v.M.strategy))
         true
         (v.M.parallelism = Some 0))
-    mc.M.theorems;
+    (M.verdicts (Cf_core.Facts.make chain));
   check_string "choice" "free" mc.M.choice.M.origin;
   check_int "predicted messages" 3 mc.M.estimate.M.messages;
   check_bool "servable" true (M.servable mc)
@@ -293,7 +293,11 @@ let plan_serve_fallback () =
   | Cf_pipeline.Pipeline.Fallback (t, mc) ->
     check_bool "pipeline fields rebuilt" true
       (Subspace.equal t.Cf_pipeline.Pipeline.space mc.M.choice.M.space);
-    let issues = Cf_pipeline.Diagnose.explain_fallback mc in
+    let issues =
+      Cf_pipeline.Diagnose.explain_fallback
+        ~verdicts:(M.verdicts (Cf_core.Facts.make chain))
+        mc
+    in
     check_bool "reports a rejection" true
       (List.exists
          (fun i -> i.Cf_pipeline.Diagnose.code = "theorem-rejected")
@@ -331,6 +335,90 @@ let relabel_names_arrays () =
   (match M.relabel canonical chain with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "a nest of another shape must be refused")
+
+(* {2 One-walk scorer against the reference}
+
+   [plan] scores all its candidates in one walk (the multi-candidate
+   path on rejected nests) and [estimate] scores one space (the
+   single-candidate path).  Both must give every candidate the block
+   count and estimate that [estimate_partition] gives over the
+   materialized partition of its space — the per-block histogram's
+   length is the scorer's block count. *)
+
+let scorer_nprocs = [ 1; 2; 3; 16 ]
+
+let matches_reference ~nprocs nest (c : M.candidate) (e : M.estimate) =
+  let ip = Cf_core.Iter_partition.make nest c.M.space in
+  Array.length e.M.per_block = Cf_core.Iter_partition.block_count ip
+  && e = M.estimate_partition ~placement:(Cf_exec.Parexec.cyclic ~nprocs) ip
+
+let plannable nest =
+  Cf_loop.Nest.cardinal nest > 0 && Cf_loop.Nest.all_uniformly_generated nest
+
+let scorer_agrees nest =
+  (not (plannable nest))
+  || List.for_all
+       (fun nprocs ->
+         List.for_all
+           (fun (c, e) -> matches_reference ~nprocs nest c e)
+           (M.plan ~nprocs nest).M.ranked
+         && List.for_all
+              (fun (c : M.candidate) ->
+                matches_reference ~nprocs nest c
+                  (M.estimate ~nprocs nest c.M.space))
+              (M.candidates nest))
+       scorer_nprocs
+
+let scorer_fixed_nests () =
+  let kernels =
+    List.concat_map
+      (fun (k : Cf_workloads.Workloads.kernel) ->
+        List.init 6 (fun i ->
+            (Printf.sprintf "%s/%d" k.name (i + 1), k.build ~size:(i + 1))))
+      Cf_workloads.Workloads.all
+  in
+  List.iter
+    (fun (name, nest) ->
+      check_bool (name ^ ": one walk = reference") true (scorer_agrees nest))
+    (all_paper_loops @ kernels)
+
+(* The second level's bounds shifted by the outer index: Gen nests are
+   rectangular, and the scorer must number skewed spaces too. *)
+let skew (n : Cf_loop.Nest.t) =
+  let open Cf_loop in
+  let levels = n.Nest.levels in
+  if Array.length levels < 2 then n
+  else
+    let outer = Affine.var levels.(0).Nest.var in
+    let shift k (l : Nest.level) =
+      if k <> 1 then l
+      else
+        {
+          l with
+          Nest.lower = Affine.add l.Nest.lower outer;
+          upper = Affine.add l.Nest.upper outer;
+        }
+    in
+    Nest.make (Array.to_list (Array.mapi shift levels)) n.Nest.body
+
+(* Normal-form Gen nests of depth 1-3, and unnormalized ones after the
+   normalization front door, each possibly skewed. *)
+let scorer_nest =
+  let open QCheck.Gen in
+  int_range 1 3 >>= fun depth ->
+  let p = Cf_check.Gen.default ~depth in
+  bool >>= fun unnormalized ->
+  bool >>= fun skewed ->
+  map
+    (fun n -> if skewed then skew n else n)
+    (if unnormalized then
+       map
+         (fun n -> Cf_normalize.Normalize.((normalize n).normalized))
+         (Cf_check.Gen.unnormalized p)
+     else Cf_check.Gen.nest p)
+
+let arbitrary_scorer_nest =
+  QCheck.make ~print:(Format.asprintf "%a" Cf_loop.Nest.pp) scorer_nest
 
 (* {2 Properties over random nests} *)
 
@@ -389,6 +477,13 @@ let cases =
       relabel_names_arrays;
     qtest ~count:60 "random nests: fallback is sequential and on-budget"
       prop_fallback_serves arbitrary_nest;
+    Alcotest.test_case
+      "scorer: paper loops and kernels 1-6 match the partition reference"
+      `Quick scorer_fixed_nests;
+    qtest ~count:80
+      "scorer: Gen nests (normal, normalized, skewed) match the partition \
+       reference"
+      scorer_agrees arbitrary_scorer_nest;
   ]
 
 let suites = [ ("mincomm", cases) ]

@@ -597,7 +597,7 @@ let same_candidate (a : M.candidate) (b : M.candidate) =
 (* Bit for bit, down to the ranking and the per-block volumes. *)
 let same_fallback (a : M.t) (b : M.t) =
   a.M.nest == b.M.nest && a.M.nprocs = b.M.nprocs
-  && a.M.theorems = b.M.theorems && a.M.comm_free = b.M.comm_free
+  && a.M.comm_free = b.M.comm_free
   && same_candidate a.M.choice b.M.choice
   && a.M.estimate = b.M.estimate
   && List.equal
