@@ -383,7 +383,7 @@ let diag3 _ =
    simulation — partition construction plus communication-free
    execution (validation off: both executors then measure pure
    simulated execution throughput) — under three configurations: the
-   materialized Iter_partition reference executor of cf_check
+   reference executor of cf_check over the materialized Refpartition
    (baseline), the engine over the closed-form Coset index on one
    domain, and the same fanned out over all domains.  Large
    instances skip the baseline (materializing 128³-class partitions is

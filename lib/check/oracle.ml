@@ -38,80 +38,105 @@ let plan_vs_verify nest =
   in
   go Strategy.all
 
-(* coset-parity: the closed-form index against the materialized
-   partition, block by block and member by member, and the streamed
-   numbering the fallback scorer walks with against the partition's
-   block ids, iteration by iteration. *)
+(* coset-parity: the closed-form index, and the partition view built
+   over its own index, against the materialized reference, block by
+   block and member by member, and the streamed numbering the fallback
+   scorer walks with against the reference's block ids, iteration by
+   iteration. *)
 
-let numbering_parity nest psi ip =
+type side = {
+  side : string;
+  count : int;
+  block : int -> int * int array * int * int array list;
+      (* id -> (id, base, size, members) *)
+  lookup : int array -> int;
+}
+
+let sides nest psi =
+  let cs = Coset.make nest psi in
+  let view = Iter_partition.make nest psi in
+  let vblocks = Iter_partition.blocks view in
+  [
+    { side = "index"; count = Coset.block_count cs;
+      block =
+        (fun id ->
+          let c = Coset.block cs ~id in
+          (c.Coset.id, c.Coset.base, c.Coset.size,
+           Coset.block_iterations cs ~id));
+      lookup = Coset.block_id_of_iteration cs };
+    { side = "view"; count = Array.length vblocks;
+      block =
+        (fun id ->
+          let b = vblocks.(id - 1) in
+          (b.Iter_partition.id, b.Iter_partition.base,
+           List.length b.Iter_partition.iterations,
+           b.Iter_partition.iterations));
+      lookup = Iter_partition.block_id_of_iteration view };
+  ]
+
+let side_parity rp s =
+  let blocks = Refpartition.blocks rp in
+  if s.count <> Array.length blocks then
+    Some
+      (Printf.sprintf "%d blocks materialized vs %d in the %s"
+         (Array.length blocks) s.count s.side)
+  else
+    let rec go k =
+      if k >= Array.length blocks then None
+      else
+        let b = blocks.(k) in
+        let want = b.Refpartition.id and members = b.Refpartition.iterations in
+        let id, base, size, iters = s.block want in
+        let differs what = Some (Printf.sprintf "%s block %d %s" s.side want what) in
+        if id <> want then differs (Printf.sprintf "is numbered %d" id)
+        else if base <> b.Refpartition.base then differs "base differs"
+        else if size <> List.length members then
+          differs
+            (Printf.sprintf "size %d vs %d materialized" size
+               (List.length members))
+        else if iters <> members then differs "member enumeration differs"
+        else
+          match List.find_opt (fun it -> s.lookup it <> want) members with
+          | Some it ->
+            Some
+              (Format.asprintf "%s puts iteration %a of B%d in B%d" s.side
+                 Cf_linalg.Vec.pp_int it want (s.lookup it))
+          | None -> go (k + 1)
+    in
+    go 0
+
+let numbering_parity nest psi rp =
   let id_of, count = Coset.numbering nest psi in
   let bad = ref None in
   Nest.iter_space nest (fun it ->
       if Option.is_none !bad then begin
         let id = id_of it in
-        let expected = Iter_partition.block_id_of_iteration ip it in
+        let expected = Refpartition.block_id_of_iteration rp it in
         if id <> expected then bad := Some (it, id, expected)
       end);
   match !bad with
   | Some (it, id, expected) ->
     Some
-      (Format.asprintf "numbering puts iteration %a in B%d, partition in B%d"
+      (Format.asprintf "numbering puts iteration %a in B%d, reference in B%d"
          Cf_linalg.Vec.pp_int it id expected)
-  | None when count () <> Iter_partition.block_count ip ->
+  | None when count () <> Refpartition.block_count rp ->
     Some
       (Printf.sprintf "numbering reached %d blocks vs %d materialized"
-         (count ()) (Iter_partition.block_count ip))
+         (count ()) (Refpartition.block_count rp))
   | None -> None
 
 let coset_parity nest =
   let check_space strategy =
     let psi = Strategy.partitioning_space strategy nest in
-    let ip = Iter_partition.make nest psi in
-    let cs = Coset.make nest psi in
-    if Iter_partition.block_count ip <> Coset.block_count cs then
-      failf "strategy %a: %d blocks materialized vs %d indexed" Strategy.pp
-        strategy
-        (Iter_partition.block_count ip)
-        (Coset.block_count cs)
-    else
-      let blocks = Iter_partition.blocks ip in
-      let rec go k =
-        if k >= Array.length blocks then Pass
-        else
-          let b = blocks.(k) in
-          let c = Coset.block cs ~id:b.Iter_partition.id in
-          if c.Coset.base <> b.Iter_partition.base then
-            failf "strategy %a: block %d base differs" Strategy.pp strategy
-              b.Iter_partition.id
-          else if c.Coset.size <> List.length b.Iter_partition.iterations then
-            failf "strategy %a: block %d size %d vs %d" Strategy.pp strategy
-              b.Iter_partition.id c.Coset.size
-              (List.length b.Iter_partition.iterations)
-          else if
-            Coset.block_iterations cs ~id:b.Iter_partition.id
-            <> b.Iter_partition.iterations
-          then
-            failf "strategy %a: block %d member enumeration differs"
-              Strategy.pp strategy b.Iter_partition.id
-          else
-            match
-              List.find_opt
-                (fun it ->
-                  Coset.block_id_of_iteration cs it <> b.Iter_partition.id)
-                b.Iter_partition.iterations
-            with
-            | Some it ->
-              failf "strategy %a: iteration %a in B%d maps to B%d" Strategy.pp
-                strategy Cf_linalg.Vec.pp_int it b.Iter_partition.id
-                (Coset.block_id_of_iteration cs it)
-            | None -> go (k + 1)
-      in
-      match go 0 with
-      | Pass -> (
-        match numbering_parity nest psi ip with
-        | Some msg -> failf "strategy %a: %s" Strategy.pp strategy msg
-        | None -> Pass)
-      | v -> v
+    let rp = Refpartition.make nest psi in
+    let found =
+      match List.find_map (side_parity rp) (sides nest psi) with
+      | None -> numbering_parity nest psi rp
+      | found -> found
+    in
+    match found with
+    | Some msg -> failf "strategy %a: %s" Strategy.pp strategy msg
+    | None -> Pass
   in
   match check_space Strategy.Nonduplicate with
   | Pass -> check_space Strategy.Duplicate
@@ -139,7 +164,7 @@ let parexec_vs_seq nest =
         ~machine:(machine ()) ~placement ~strategy
         plan.Cf_pipeline.Pipeline.partition
     in
-    let coset = Coset.make nest plan.Cf_pipeline.Pipeline.space in
+    let coset = Iter_partition.coset plan.Cf_pipeline.Pipeline.partition in
     let r2 =
       Cf_exec.Parexec.execute_indexed ?exact:plan.Cf_pipeline.Pipeline.exact
         ~domains:1 ~machine:(machine ()) ~placement ~strategy coset
@@ -205,7 +230,7 @@ let fault_recovery nest =
       (Cf_machine.Topology.linear nprocs)
       Cf_machine.Cost.transputer
   in
-  let coset = Coset.make nest plan.Cf_pipeline.Pipeline.space in
+  let coset = Iter_partition.coset plan.Cf_pipeline.Pipeline.partition in
   let report =
     Cf_exec.Parexec.execute_indexed ?exact:plan.Cf_pipeline.Pipeline.exact
       ~domains:1 ~charge_distribution:true ~machine
@@ -246,7 +271,7 @@ let delta_checkpoint nest =
         (Cf_machine.Topology.linear nprocs)
         Cf_machine.Cost.transputer
     in
-    let coset = Coset.make nest plan.Cf_pipeline.Pipeline.space in
+    let coset = Iter_partition.coset plan.Cf_pipeline.Pipeline.partition in
     let report =
       Cf_exec.Parexec.execute_indexed ~backend
         ?exact:plan.Cf_pipeline.Pipeline.exact ~domains:1
@@ -342,7 +367,7 @@ let compiled_vs_interpreted nest =
           (Cf_machine.Topology.linear nprocs)
           Cf_machine.Cost.transputer
       in
-      let coset = Coset.make nest plan.Cf_pipeline.Pipeline.space in
+      let coset = Iter_partition.coset plan.Cf_pipeline.Pipeline.partition in
       Cf_exec.Parexec.execute_indexed ~backend
         ?exact:plan.Cf_pipeline.Pipeline.exact ~domains:1 ~machine
         ~placement:(Cf_exec.Parexec.cyclic ~nprocs)
@@ -382,8 +407,9 @@ let compiled_vs_interpreted nest =
     go [ Strategy.Nonduplicate; Strategy.Duplicate; Strategy.Min_duplicate ]
 
 (* canon-relabel-roundtrip: canonicalization idempotent and invariant
-   under renaming; a memoized plan relabeled onto the renamed nest
-   still verifies on the concrete space. *)
+   under renaming on every nest; on the nests the planner accepts
+   (uniformly generated ones) a memoized plan relabeled onto the
+   renamed nest still verifies on the concrete space. *)
 
 let canon_roundtrip nest =
   let c = Cf_cache.Canon.canonicalize nest in
@@ -401,6 +427,8 @@ let canon_roundtrip nest =
     in
     if Cf_cache.Canon.digest renamed <> c.Cf_cache.Canon.digest then
       Fail "renamed nest has a different canonical digest"
+    else if not (Nest.all_uniformly_generated nest) then
+      Skip "non-uniformly-generated references"
     else
       let plan =
         Cf_pipeline.Pipeline.plan ~strategy:Strategy.Nonduplicate
@@ -478,8 +506,9 @@ let cgen_roundtrip nest =
    verdict ([Mincomm.verdicts] of a fresh analysis value) from its own
    [Strategy.partitioning_space] under the same rule (a minimal theorem
    is skipped above the exact-analysis limit), each ranked candidate's
-   estimate from the materialized [Iter_partition], and the choice from
-   those partitions' block counts.  The fallback plan of any
+   estimate by the reference scorer over the materialized
+   [Refpartition], and the choice and its block count from those
+   partitions' block counts.  The fallback plan of any
    nest (rejected by the theorems or not) must then execute bit-for-bit
    sequentially on a service-mode machine, its serviced message count
    must equal the planner's prediction on both statement-body backends,
@@ -513,17 +542,18 @@ let fallback_matches_reference nest (mc : Mincomm.t) =
   let reference =
     List.map
       (fun ((c : Mincomm.candidate), e) ->
-        let partition = Iter_partition.make nest c.space in
+        let partition = Refpartition.make nest c.space in
         ( c,
           e,
-          Iter_partition.block_count partition,
-          Mincomm.estimate_partition ~placement partition ))
+          Refpartition.block_count partition,
+          Refpartition.estimate ~placement partition ))
       mc.ranked
   in
   let expected_choice =
     match List.find_opt (fun (_, _, blocks, _) -> blocks >= 2) reference with
-    | Some (c, _, _, _) -> Some c
-    | None -> Option.map (fun (c, _, _, _) -> c) (List.nth_opt reference 0)
+    | Some (c, _, blocks, _) -> Some (c, blocks)
+    | None ->
+      Option.map (fun (c, _, blocks, _) -> (c, blocks)) (List.nth_opt reference 0)
   in
   let planned = Mincomm.verdicts (Facts.make nest) in
   let verdicts = List.map (reference_verdict nest) Strategy.all in
@@ -550,17 +580,15 @@ let fallback_matches_reference nest (mc : Mincomm.t) =
     | None -> (
       match expected_choice with
       | None -> Fail "no candidate was ranked"
-      | Some c when not (String.equal c.origin mc.choice.origin) ->
+      | Some (c, _) when not (String.equal c.origin mc.choice.origin) ->
         failf "choice %s, reference ranking chooses %s" mc.choice.origin
           c.origin
-      | Some _ ->
-        let choice_blocks =
-          Coset.block_count (Coset.make nest mc.choice.space)
-        in
-        if choice_blocks <> Iter_partition.block_count mc.partition then
-          failf "choice %s: %d indexed block(s) vs %d materialized"
-            mc.choice.origin choice_blocks
+      | Some (_, blocks) ->
+        if blocks <> Iter_partition.block_count mc.partition then
+          failf "choice %s: %d block(s) planned vs %d materialized"
+            mc.choice.origin
             (Iter_partition.block_count mc.partition)
+            blocks
         else if
           not
             (Cf_linalg.Subspace.equal mc.choice.space
@@ -647,7 +675,9 @@ let all =
       doc = "Theorem 1-4 planners vs Verify on the concrete space";
       check = uniform plan_vs_verify };
     { name = "coset-parity";
-      doc = "closed-form Coset index vs materialized Iter_partition";
+      doc =
+        "closed-form Coset index and the Iter_partition view vs the \
+         materialized Refpartition";
       check = uniform coset_parity };
     { name = "parexec-vs-seq";
       doc =
@@ -669,15 +699,17 @@ let all =
          generated";
       check = compiled_vs_interpreted };
     { name = "canon-relabel-roundtrip";
-      doc = "canonical form stable under renaming; relabeled plans verify";
+      doc =
+        "canonical form stable under renaming on every nest; relabeled \
+         plans verify when uniformly generated";
       check = canon_roundtrip };
     { name = "cgen-roundtrip";
       doc = "C back end's block-major order vs the sequential interpreter";
-      check = cgen_roundtrip };
+      check = uniform cgen_roundtrip };
     { name = "fallback-vs-seq";
       doc =
         "fallback verdicts, scores and choice match the unshared \
-         Iter_partition reference; runs bit-for-bit sequential; \
+         Refpartition reference; runs bit-for-bit sequential; \
          predicted volume = serviced messages";
       check = uniform fallback_vs_seq };
     { name = "normalize-roundtrip";

@@ -24,14 +24,16 @@ val all : t list
 (** The registry, in documentation order:
     - [plan-vs-verify]: every Theorem 1–4 plan passes
       {!Cf_core.Verify.check_strategy} on the concrete iteration space;
-    - [coset-parity]: closed-form {!Cf_core.Coset} indexing is
-      bit-for-bit identical to the materialized
-      {!Cf_core.Iter_partition} oracle (ids, bases, sizes, members),
-      and {!Cf_core.Coset.numbering}, walked in lexicographic order,
-      gives every iteration the partition's block id and reaches its
-      block count;
-    - [parexec-vs-seq]: the materialized and the indexed parallel
-      engines both reproduce the sequential interpreter, with identical
+    - [coset-parity]: closed-form {!Cf_core.Coset} indexing and the
+      {!Cf_core.Iter_partition} view over its own index are both
+      bit-for-bit identical to the materialized {!Refpartition}
+      reference (ids, bases, sizes, member order, lookups), and
+      {!Cf_core.Coset.numbering}, walked in lexicographic order, gives
+      every iteration the reference's block id and reaches its block
+      count;
+    - [parexec-vs-seq]: the materialized reference executor
+      ({!Refexec}, over {!Refpartition}) and the indexed engine both
+      reproduce the sequential interpreter, with identical
       per-PE iteration counts; charged, the engine's bulk chunk sends
       and the reference's element-wise host sends leave bit-identical
       machines (message count and volume, distribution time, send
@@ -47,9 +49,9 @@ val all : t list
       machine-engine reports and simulated compute times; a nest with
       non-uniformly-generated references (which the planner rejects)
       is skipped after the sequential comparison;
-    - [canon-relabel-roundtrip]: canonicalization is idempotent,
-      renaming-invariant, and a plan relabeled onto a renamed nest still
-      verifies;
+    - [canon-relabel-roundtrip]: canonicalization is idempotent and
+      renaming-invariant on every nest, and a plan relabeled onto a
+      renamed nest still verifies;
     - [cgen-roundtrip]: block-major execution of the transformed
       [forall] nest (the iteration order the C back end emits) matches
       the sequential interpreter, and emission is deterministic;
@@ -59,9 +61,9 @@ val all : t list
       that strategy's own {!Cf_core.Strategy.partitioning_space} answer
       (a minimal theorem skipped above
       {!Cf_dep.Exact.analysis_limit}), every ranked candidate's estimate
-      equals {!Cf_mincomm.Mincomm.estimate_partition} over the
-      materialized {!Cf_core.Iter_partition}, and the choice and its
-      block count follow from those partitions; the plan then runs
+      equals the reference scorer {!Refpartition.estimate} over the
+      materialized {!Refpartition}, and the choice and its block count
+      follow from those partitions; the plan then runs
       bit-for-bit sequential on both backends and its serviced message
       count equals the planner's prediction;
     - [normalize-roundtrip]: every {!Cf_normalize} witness passes both
@@ -74,9 +76,11 @@ val all : t list
     Every oracle that plans needs uniformly generated references, the
     planner's precondition: [plan-vs-verify], [coset-parity],
     [parexec-vs-seq], [fault-recovery-identical],
-    [delta-checkpoint-identical] and [fallback-vs-seq] return [Skip]
-    on any other nest before planning, and [compiled-vs-interpreted]
-    skips after its sequential comparison. *)
+    [delta-checkpoint-identical], [cgen-roundtrip] and
+    [fallback-vs-seq] return [Skip] on any other nest before planning,
+    and [compiled-vs-interpreted] and [canon-relabel-roundtrip] skip
+    after their unplanned halves (the sequential comparison, the
+    canonical-form checks). *)
 
 val find : string -> t option
 val names : string list

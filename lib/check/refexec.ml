@@ -39,13 +39,16 @@ let execute ?(backend = `Compiled) ?(init = Seqexec.default_init)
     if allocate then arrays.(slot) ^ "#" ^ string_of_int block
     else arrays.(slot)
   in
-  let blocks = Iter_partition.blocks partition in
+  let blocks =
+    Refpartition.blocks
+      (Refpartition.make nest (Iter_partition.space partition))
+  in
   (* Allocation: every element a block's surviving accesses touch gets a
      copy on the block's processor, one copy per (block, array). *)
   if allocate then begin
     Array.iter
-      (fun (b : Iter_partition.block) ->
-        let pe = block_pe b.Iter_partition.id in
+      (fun (b : Refpartition.block) ->
+        let pe = block_pe b.Refpartition.id in
         let copies = Array.map (fun _ -> Hashtbl.create 16) arrays in
         List.iter
           (fun iter ->
@@ -59,7 +62,7 @@ let execute ?(backend = `Compiled) ?(init = Seqexec.default_init)
                         (Array.to_list el) el)
                     (Array.append [| sp.Compile.lhs |] sp.Compile.reads))
               stmts)
-          b.Iter_partition.iterations;
+          b.Refpartition.iterations;
         Array.iteri
           (fun slot tbl ->
             let els =
@@ -67,7 +70,7 @@ let execute ?(backend = `Compiled) ?(init = Seqexec.default_init)
                 (fun _ el acc -> (el, init arrays.(slot) el) :: acc)
                 tbl []
             in
-            let copy = name b.Iter_partition.id slot in
+            let copy = name b.Refpartition.id slot in
             if els = [] then ()
             else if charge_distribution then
               Machine.host_send machine ~pe copy els
@@ -101,8 +104,8 @@ let execute ?(backend = `Compiled) ?(init = Seqexec.default_init)
   let remote = ref None in
   (try
      Array.iter
-       (fun (b : Iter_partition.block) ->
-         let id = b.Iter_partition.id in
+       (fun (b : Refpartition.block) ->
+         let id = b.Refpartition.id in
          let pe = block_pe id in
          (match backend with
          | `Compiled ->
@@ -115,7 +118,7 @@ let execute ?(backend = `Compiled) ?(init = Seqexec.default_init)
            in
            List.iter
              (Compile.bind ?keep:keep_opt ?on_write ~scalar ~target prog)
-             b.Iter_partition.iterations
+             b.Refpartition.iterations
          | `Interpreted ->
            List.iter
              (fun iter ->
@@ -142,9 +145,9 @@ let execute ?(backend = `Compiled) ?(init = Seqexec.default_init)
                          v
                    end)
                  stmts)
-             b.Iter_partition.iterations);
+             b.Refpartition.iterations);
          Machine.run_iterations machine ~pe
-           (List.length b.Iter_partition.iterations))
+           (List.length b.Refpartition.iterations))
        blocks
    with Machine.Remote_access { pe; array; element } ->
      remote := Some (pe, array, element));

@@ -1,7 +1,8 @@
 (** The materialized reference executor.
 
-    Executes a partition the way Section IV states it, over a
-    materialized {!Cf_core.Iter_partition}: every block's data on its
+    Executes a partition the way Section IV states it, over the
+    materialized {!Refpartition} of the partition's nest and space
+    (never the partition's own coset index): every block's data on its
     processor as block-local copies ([A#j]), blocks run one after
     another in id order, and each element's sequentially-latest write is
     checked against the sequential interpreter.  Of
@@ -10,7 +11,7 @@
     no domains, no recovery rounds — so the parity tests, the
     [parexec-vs-seq] oracle and bench E14's baseline column compare the
     engine against an independent implementation, the way
-    {!Cf_core.Iter_partition} backs {!Cf_core.Coset}. *)
+    {!Refpartition} backs {!Cf_core.Coset}. *)
 
 val execute :
   ?backend:Cf_exec.Compile.backend ->

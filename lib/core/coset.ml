@@ -193,6 +193,11 @@ let make nest space =
     index;
   }
 
+let relabel t nest =
+  if Nest.depth nest <> Nest.depth t.nest then
+    invalid_arg "Coset.relabel: nest depth mismatch";
+  { t with nest }
+
 let nest t = t.nest
 let space t = t.space
 let blocks t = Array.to_list t.blocks

@@ -1,9 +1,10 @@
-(** Closed-form coset indexing of iteration partitions.
+(** Closed-form coset indexing of iteration partitions — the
+    production partition.
 
     The paper's partition P_Ψ(Iⁿ) groups iterations whose difference
-    lies in the partition subspace Ψ.  {!Iter_partition} materializes
-    every block by enumeration; this module answers the same queries in
-    closed form so simulation at scale never stores the partition:
+    lies in the partition subspace Ψ.  This module answers every query
+    about it in closed form, so no plan or simulation stores the
+    partition:
 
     - {!block_id_of_iteration} is one integer matrix–vector product
       (O(n²)) plus a hash lookup, via a projection φ : Zⁿ → Zᵐ derived
@@ -15,12 +16,14 @@
       per-iteration storage.
 
     Construction performs a single streaming pass over the iteration
-    space to assign the oracle's 1-based, base-point-ordered block ids
-    (O(#blocks) memory, nothing per-iteration); {!numbering} streams
-    the same ids to a caller's own walk without building the index.
-    Numbering, base points, sizes, and member order are bit-for-bit
-    identical to {!Iter_partition}, which remains the reference oracle
-    in tests. *)
+    space to assign 1-based, base-point-ordered block ids (O(#blocks)
+    memory, nothing per-iteration); {!numbering} streams the same ids to
+    a caller's own walk without building the index.
+    {!Iter_partition} is a view over one index.  Numbering, base points,
+    sizes, and member order are bit-for-bit identical to the
+    materialized, string-keyed enumerator [Cf_check.Refpartition], the
+    independent reference the [coset-parity] oracle and the tests
+    compare against. *)
 
 open Cf_linalg
 open Cf_loop
@@ -46,6 +49,13 @@ val numbering : Nest.t -> Subspace.t -> (int array -> int) * (unit -> int)
     walker may hand it a reused buffer.  It does not test membership.
     Raises [Invalid_argument] as {!make} does. *)
 
+val relabel : t -> Nest.t -> t
+(** [relabel t nest] is [t] over [nest], which must be [t]'s nest modulo
+    renaming ([Cf_cache.Canon]'s condition, so the bounds and the
+    iteration space are the same): the projection, lattice, blocks and
+    index are shared untouched, in O(1).  Raises [Invalid_argument] when
+    the depth differs. *)
+
 val nest : t -> Nest.t
 val space : t -> Subspace.t
 
@@ -60,7 +70,7 @@ val block : t -> id:int -> block
 
 val block_id_of_iteration : t -> int array -> int
 (** Closed-form lookup.  Raises [Not_found] for iterations outside the
-    iteration space, mirroring {!Iter_partition.block_of_iteration}. *)
+    iteration space. *)
 
 val block_of_iteration_opt : t -> int array -> int option
 

@@ -760,14 +760,11 @@ let run ~who ~rule ?(backend = `Compiled) ?(init = Seqexec.default_init)
   in
   { machine; remote_access = !remote; mismatches; per_pe_iterations; recovery }
 
-let coset_of partition =
-  Coset.make (Iter_partition.nest partition) (Iter_partition.space partition)
-
 let execute ?backend ?init ?scalar ?exact ?allocate ?charge_distribution
     ?validate ~machine ~placement ~strategy partition =
   run ~who:"Parexec.execute" ~rule:Block_local ?backend ?init ?scalar ?exact
     ?allocate ?charge_distribution ?validate ~machine ~placement ~strategy
-    (coset_of partition)
+    (Iter_partition.coset partition)
 
 let execute_indexed = run ~who:"Parexec.execute_indexed" ~rule:Block_local
 
@@ -775,7 +772,7 @@ let execute_fallback ?backend ?init ?scalar ?charge_distribution ?validate
     ~machine ~placement partition =
   run ~who:"Parexec.execute_fallback" ~rule:Homes ?backend ?init ?scalar
     ?charge_distribution ?validate ~machine ~placement
-    ~strategy:Strategy.Nonduplicate (coset_of partition)
+    ~strategy:Strategy.Nonduplicate (Iter_partition.coset partition)
 
 let pp_report ppf r =
   (match r.remote_access with

@@ -79,9 +79,10 @@ val execute :
   strategy:Strategy.t ->
   Iter_partition.t ->
   report
-(** {!execute_indexed} over the coset index of the partition's nest and
-    space, on the default domain count — the entry point for callers
-    holding a planned {!Cf_core.Iter_partition}. *)
+(** {!execute_indexed} over the partition's own coset index
+    ({!Cf_core.Iter_partition.coset}), on the default domain count — the
+    entry point for callers holding a planned
+    {!Cf_core.Iter_partition}. *)
 
 val execute_indexed :
   ?backend:Compile.backend ->

@@ -121,40 +121,6 @@ let verdicts facts =
    followed by [Parexec.execute_fallback]'s servicing rule, which is why
    predicted counts equal simulated ones. *)
 
-(* The reference scorer, over a materialized partition. *)
-let estimate_partition ~placement partition =
-  let nest = Iter_partition.nest partition in
-  let prog = Compile.make nest in
-  let sites = Compile.sites prog in
-  let homes =
-    Array.map
-      (fun _ -> (Hashtbl.create 64 : (int, int) Hashtbl.t))
-      (Compile.arrays prog)
-  in
-  let per_block = Array.make (Iter_partition.block_count partition) 0 in
-  let rr = ref 0 and rw = ref 0 in
-  let scratch = Compile.scratch sites in
-  Nest.iter_space nest (fun iter ->
-      let block = Iter_partition.block_id_of_iteration partition iter in
-      let pe = placement block in
-      Array.iteri
-        (fun si ->
-          (* Site 0 is the statement's write, the rest its reads. *)
-          Array.iteri (fun k (s : Compile.Site.t) ->
-              let scr = scratch.(si).(k) in
-              Compile.Site.eval_into s iter scr;
-              let tbl = homes.(s.Compile.Site.slot) in
-              let packed = Machine.pack_coords scr in
-              match Hashtbl.find_opt tbl packed with
-              | None -> Hashtbl.add tbl packed pe
-              | Some home ->
-                if home <> pe then begin
-                  if k = 0 then incr rw else incr rr;
-                  per_block.(block - 1) <- per_block.(block - 1) + 1
-                end))
-        sites);
-  { messages = !rr + !rw; remote_reads = !rr; remote_writes = !rw; per_block }
-
 (* Packed coordinates to dense element numbers.  A packed key's low
    three bits are its arity, so the hash mixes the high bits down. *)
 module Itbl = Hashtbl.Make (struct
@@ -260,8 +226,8 @@ let plan_of_facts ?(nprocs = 4) facts =
     if comm_free then [ { origin = "theorem-1"; space = psi_nd } ]
     else candidates_of facts
   in
-  (* Every candidate is scored in one walk; only the chosen one is
-     materialized below. *)
+  (* Every candidate is scored in one walk; only the chosen one gets a
+     coset index, below. *)
   let scores =
     score ~placement:(Parexec.cyclic ~nprocs) nest
       (Array.of_list (List.map (fun c -> c.space) cands))

@@ -27,9 +27,9 @@
     value it planned with.  Every candidate is scored in one walk of the
     iteration space: each access's element is numbered once, each
     candidate's block ids are streamed by {!Cf_core.Coset.numbering}
-    (numbered exactly as {!Cf_core.Iter_partition} numbers them), and
+    (numbered exactly as {!Cf_core.Coset} numbers them), and
     first-touch homes sit in dense arrays; only the chosen candidate is
-    materialized as an {!Cf_core.Iter_partition.t}.  The per-theorem
+    indexed, as an {!Cf_core.Iter_partition.t}.  The per-theorem
     verdicts are not part of a plan: {!verdicts} computes them where
     they are printed or checked. *)
 
@@ -69,7 +69,7 @@ type t = {
       (** Theorem 1 grants parallelism — the plan below is exact and
           has zero predicted volume *)
   choice : candidate;
-  partition : Iter_partition.t;  (** materialized [P_Ψ] of [choice] *)
+  partition : Iter_partition.t;  (** [P_Ψ] of [choice] *)
   estimate : estimate;
   ranked : (candidate * estimate) list;
       (** every evaluated candidate, best first (fewest messages, then
@@ -95,20 +95,11 @@ val candidates : ?search_radius:int -> Cf_loop.Nest.t -> candidate list
     flow-dependence witnesses, each axis line and hyperplane slab, and
     the zero space (blockless — every iteration its own block). *)
 
-val estimate_partition :
-  placement:(int -> int) -> Iter_partition.t -> estimate
-(** Predicted volume of an explicit partition under [placement] (block
-    id to PE), by one pass over the iteration space in execution order
-    applying the first-touch home rule.  Exact for
-    {!Cf_exec.Parexec.execute_fallback} on a [`Service]-mode machine
-    with the same placement.  The reference scorer: {!plan} scores all
-    its candidates in one walk over their {!Coset.numbering}s instead,
-    and the [fallback-vs-seq] oracle checks the two agree. *)
-
 val estimate : nprocs:int -> Cf_loop.Nest.t -> Subspace.t -> estimate
 (** The predicted volume of [P_Ψ] under the cyclic placement on
     [nprocs] PEs, by {!plan}'s one-walk scorer over this one space;
-    equal to [estimate_partition] of the materialized partition.
+    equal to what the reference scorer [Cf_check.Refpartition.estimate]
+    reads over the materialized partition.
     Raises [Invalid_argument] when the subspace's ambient dimension
     differs from the nest depth. *)
 

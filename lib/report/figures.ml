@@ -138,10 +138,9 @@ let data_partition nest partition name =
 let iteration_partition partition =
   let nest = Iter_partition.nest partition in
   let n = Nest.depth nest in
-  let blocks = Iter_partition.blocks partition in
   if n = 2 then begin
     let points =
-      Array.to_list blocks
+      Array.to_list (Iter_partition.blocks partition)
       |> List.concat_map (fun (b : Iter_partition.block) ->
              List.map (fun it -> (it, string_of_int b.id)) b.iterations)
     in

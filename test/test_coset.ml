@@ -1,25 +1,92 @@
-(* Closed-form coset indexing vs the materialized oracle.
+(* Closed-form coset indexing and the partition view over it vs the
+   materialized reference.
 
-   Coset must reproduce Iter_partition bit-for-bit: block count,
-   numbering, base points, sizes, member lists (and their order), and
-   the in/out-of-space behaviour of the iteration lookup. *)
+   Coset and Iter_partition must reproduce Cf_check.Refpartition
+   bit-for-bit: block count, numbering, base points, sizes, member
+   lists (and their order), the in/out-of-space behaviour of the
+   iteration lookups, the extreme block sizes and the printed text. *)
 
 open Cf_linalg
 open Cf_core
 open Testutil
+module R = Cf_check.Refpartition
 
 let v l = Vec.of_int_list l
 let span n vs = Subspace.span n (List.map v vs)
 
-(* Exhaustive parity of a (nest, psi) instance against the oracle. *)
+let blocks_of_view view =
+  Array.to_list
+    (Array.map
+       (fun (b : Iter_partition.block) -> (b.id, b.base, b.iterations))
+       (Iter_partition.blocks view))
+
+let blocks_of_ref rp =
+  Array.to_list
+    (Array.map (fun (b : R.block) -> (b.id, b.base, b.iterations)) (R.blocks rp))
+
+(* Every point of the nest's bounding box, in- and out-of-space. *)
+let box_points nest =
+  match Cf_loop.Nest.bounding_box nest with
+  | None -> []
+  | Some (lo, hi) ->
+    let n = Array.length lo in
+    let acc = ref [] in
+    let x = Array.copy lo in
+    let rec go k =
+      if k = n then acc := Array.copy x :: !acc
+      else
+        for c = lo.(k) to hi.(k) do
+          x.(k) <- c;
+          go (k + 1)
+        done
+    in
+    go 0;
+    List.rev !acc
+
+(* The view against the reference on everything it answers. *)
+let view_matches ?(msg = "") nest view =
+  let rp = R.make nest (Iter_partition.space view) in
+  let ctx s = msg ^ s in
+  check_int (ctx "view block count") (R.block_count rp)
+    (Iter_partition.block_count view);
+  Alcotest.(check (list (triple int (array int) (list (array int)))))
+    (ctx "view blocks") (blocks_of_ref rp) (blocks_of_view view);
+  let found f it = match f it with x -> Some x | exception Not_found -> None in
+  List.iter
+    (fun it ->
+      let want = found (R.block_id_of_iteration rp) it in
+      check_bool (ctx "reference covers exactly the space")
+        (Cf_loop.Nest.mem nest it) (want <> None);
+      Alcotest.(check (option int)) (ctx "view lookup") want
+        (found (Iter_partition.block_id_of_iteration view) it);
+      Alcotest.(check (option (triple int (array int) (list (array int)))))
+        (ctx "view block_of_iteration")
+        (Option.map
+           (fun (b : R.block) -> (b.id, b.base, b.iterations))
+           (found (R.block_of_iteration rp) it))
+        (Option.map
+           (fun (b : Iter_partition.block) -> (b.id, b.base, b.iterations))
+           (found (Iter_partition.block_of_iteration view) it)))
+    (box_points nest);
+  check_int (ctx "max size") (R.max_block_size rp)
+    (Iter_partition.max_block_size view);
+  check_int (ctx "min size") (R.min_block_size rp)
+    (Iter_partition.min_block_size view);
+  check_string (ctx "pp")
+    (Format.asprintf "%a" R.pp rp)
+    (Format.asprintf "%a" Iter_partition.pp view)
+
+(* Exhaustive parity of a (nest, psi) instance against the reference:
+   the index member by member, then the view built over its own
+   index. *)
 let agrees ?(msg = "") nest psi =
-  let oracle = Iter_partition.make nest psi in
+  let oracle = R.make nest psi in
   let fast = Coset.make nest psi in
   let ctx s = Printf.sprintf "%s%s" msg s in
-  check_int (ctx "block count") (Iter_partition.block_count oracle)
+  check_int (ctx "block count") (R.block_count oracle)
     (Coset.block_count fast);
   Array.iter
-    (fun (ob : Iter_partition.block) ->
+    (fun (ob : R.block) ->
       let fb = Coset.block fast ~id:ob.id in
       check_int (ctx "id") ob.id fb.Coset.id;
       Alcotest.(check (array int)) (ctx "base") ob.base fb.Coset.base;
@@ -30,10 +97,11 @@ let agrees ?(msg = "") nest psi =
       List.iter
         (fun it ->
           check_int (ctx "lookup")
-            (Iter_partition.block_id_of_iteration oracle it)
+            (R.block_id_of_iteration oracle it)
             (Coset.block_id_of_iteration fast it))
         ob.iterations)
-    (Iter_partition.blocks oracle)
+    (R.blocks oracle);
+  view_matches ~msg nest (Iter_partition.make nest psi)
 
 let strategy_psi strategy nest = Strategy.partitioning_space strategy nest
 
@@ -127,9 +195,72 @@ let property_cases =
         pair arbitrary_nest (pair (int_range (-3) 3) (int_range (-3) 3)));
   ]
 
+(* The view against the reference over every space a plan can carry:
+   the theorem spaces and the fallback tier's candidates on the nests
+   the planner accepts, plus the zero, full and diagonal spaces on
+   every nest — each over the nest and, relabeled, over a renaming. *)
+let view_spaces nest =
+  let n = Cf_loop.Nest.depth nest in
+  let fixed =
+    [ Subspace.zero n; Subspace.full n; span n [ List.init n (fun _ -> 1) ] ]
+  in
+  if
+    Cf_loop.Nest.cardinal nest = 0
+    || not (Cf_loop.Nest.all_uniformly_generated nest)
+  then fixed
+  else
+    List.map (fun s -> Strategy.partitioning_space s nest) Strategy.all
+    @ List.map
+        (fun (c : Cf_mincomm.Mincomm.candidate) -> c.Cf_mincomm.Mincomm.space)
+        (Cf_mincomm.Mincomm.candidates nest)
+    @ fixed
+
+let rename nest =
+  Cf_cache.Canon.rename
+    ~index:(fun s -> s ^ "0")
+    ~array:(fun s -> "Z" ^ s)
+    ~scalar:(fun s -> s ^ "0")
+    nest
+
+let view_equals_reference ?(msg = "") nest =
+  let renamed = rename nest in
+  List.iter
+    (fun psi ->
+      let view = Iter_partition.make nest psi in
+      view_matches ~msg nest view;
+      let relabeled = Iter_partition.relabel view renamed in
+      check_bool (msg ^ "relabeled onto the renaming") true
+        (Iter_partition.nest relabeled == renamed);
+      view_matches ~msg:(msg ^ "relabeled ") renamed relabeled)
+    (view_spaces nest);
+  true
+
+let view_cases =
+  [
+    Alcotest.test_case "paper loops and kernels 1-6: view = reference" `Quick
+      (fun () ->
+        let kernels =
+          List.concat_map
+            (fun (k : Cf_workloads.Workloads.kernel) ->
+              List.init 6 (fun i ->
+                  ( Printf.sprintf "%s/%d" k.Cf_workloads.Workloads.name (i + 1),
+                    k.Cf_workloads.Workloads.build ~size:(i + 1) )))
+            Cf_workloads.Workloads.all
+        in
+        List.iter
+          (fun (name, nest) ->
+            ignore (view_equals_reference ~msg:(name ^ " ") nest))
+          (all_paper_loops @ kernels));
+    qtest ~count:80
+      "Gen nests (normal, normalized, skewed): view = reference"
+      (fun nest -> view_equals_reference nest)
+      arbitrary_mixed_nest;
+  ]
+
 let suites =
   [
     ("coset.fixed", fixed_cases);
     ("coset.workloads", workload_cases);
     ("coset.property", property_cases);
+    ("coset.view", view_cases);
   ]

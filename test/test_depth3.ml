@@ -90,13 +90,18 @@ let properties =
     qtest "blocks partition the space at depth 3" ~count:40
       (fun nest ->
         let psi = Strategy.partitioning_space Strategy.Nonduplicate nest in
-        let p = Iter_partition.make nest psi in
-        let from_blocks =
-          Array.to_list (Iter_partition.blocks p)
+        let members =
+          Array.to_list (Iter_partition.blocks (Iter_partition.make nest psi))
           |> List.concat_map (fun (b : Iter_partition.block) -> b.iterations)
-          |> List.sort compare
         in
-        from_blocks = List.sort compare (Nest.iterations nest))
+        let reference =
+          Array.to_list
+            (Cf_check.Refpartition.blocks (Cf_check.Refpartition.make nest psi))
+          |> List.concat_map (fun (b : Cf_check.Refpartition.block) ->
+                 b.iterations)
+        in
+        List.sort compare members = List.sort compare (Nest.iterations nest)
+        && members = reference)
       arbitrary_nest3;
   ]
 
@@ -170,8 +175,7 @@ end
 
 let space_stats strategy nest =
   let psi = Strategy.partitioning_space strategy nest in
-  let p = Iter_partition.make nest psi in
-  (Cf_linalg.Subspace.dim psi, Array.length (Iter_partition.blocks p))
+  (Cf_linalg.Subspace.dim psi, Iter_partition.block_count (Iter_partition.make nest psi))
 
 let rank_deficient =
   [

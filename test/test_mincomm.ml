@@ -341,16 +341,19 @@ let relabel_names_arrays () =
    [plan] scores all its candidates in one walk (the multi-candidate
    path on rejected nests) and [estimate] scores one space (the
    single-candidate path).  Both must give every candidate the block
-   count and estimate that [estimate_partition] gives over the
-   materialized partition of its space — the per-block histogram's
+   count and estimate that the reference scorer
+   [Cf_check.Refpartition.estimate] gives over the materialized
+   partition of its space — the per-block histogram's
    length is the scorer's block count. *)
 
 let scorer_nprocs = [ 1; 2; 3; 16 ]
 
 let matches_reference ~nprocs nest (c : M.candidate) (e : M.estimate) =
-  let ip = Cf_core.Iter_partition.make nest c.M.space in
-  Array.length e.M.per_block = Cf_core.Iter_partition.block_count ip
-  && e = M.estimate_partition ~placement:(Cf_exec.Parexec.cyclic ~nprocs) ip
+  let rp = Cf_check.Refpartition.make nest c.M.space in
+  Array.length e.M.per_block = Cf_check.Refpartition.block_count rp
+  && e
+     = Cf_check.Refpartition.estimate
+         ~placement:(Cf_exec.Parexec.cyclic ~nprocs) rp
 
 let plannable nest =
   Cf_loop.Nest.cardinal nest > 0 && Cf_loop.Nest.all_uniformly_generated nest
@@ -381,44 +384,6 @@ let scorer_fixed_nests () =
     (fun (name, nest) ->
       check_bool (name ^ ": one walk = reference") true (scorer_agrees nest))
     (all_paper_loops @ kernels)
-
-(* The second level's bounds shifted by the outer index: Gen nests are
-   rectangular, and the scorer must number skewed spaces too. *)
-let skew (n : Cf_loop.Nest.t) =
-  let open Cf_loop in
-  let levels = n.Nest.levels in
-  if Array.length levels < 2 then n
-  else
-    let outer = Affine.var levels.(0).Nest.var in
-    let shift k (l : Nest.level) =
-      if k <> 1 then l
-      else
-        {
-          l with
-          Nest.lower = Affine.add l.Nest.lower outer;
-          upper = Affine.add l.Nest.upper outer;
-        }
-    in
-    Nest.make (Array.to_list (Array.mapi shift levels)) n.Nest.body
-
-(* Normal-form Gen nests of depth 1-3, and unnormalized ones after the
-   normalization front door, each possibly skewed. *)
-let scorer_nest =
-  let open QCheck.Gen in
-  int_range 1 3 >>= fun depth ->
-  let p = Cf_check.Gen.default ~depth in
-  bool >>= fun unnormalized ->
-  bool >>= fun skewed ->
-  map
-    (fun n -> if skewed then skew n else n)
-    (if unnormalized then
-       map
-         (fun n -> Cf_normalize.Normalize.((normalize n).normalized))
-         (Cf_check.Gen.unnormalized p)
-     else Cf_check.Gen.nest p)
-
-let arbitrary_scorer_nest =
-  QCheck.make ~print:(Format.asprintf "%a" Cf_loop.Nest.pp) scorer_nest
 
 (* {2 Properties over random nests} *)
 
@@ -483,7 +448,7 @@ let cases =
     qtest ~count:80
       "scorer: Gen nests (normal, normalized, skewed) match the partition \
        reference"
-      scorer_agrees arbitrary_scorer_nest;
+      scorer_agrees arbitrary_mixed_nest;
   ]
 
 let suites = [ ("mincomm", cases) ]

@@ -44,6 +44,34 @@ let pipeline_cases =
           (Cf_machine.Machine.message_count
              charged.Pipeline.report.Cf_exec.Parexec.machine
            > 0));
+    Alcotest.test_case "a plan holds its coset index, not its members" `Quick
+      (fun () ->
+        (* matmul 48 under Duplicate: 2,304 blocks of 48 iterations, which
+           a materialized partition holds in about 2.3M words. *)
+        let module Ip = Cf_core.Iter_partition in
+        let nest = Cf_exec.Matmul.nest ~m:48 in
+        let plan = Pipeline.plan ~strategy:Cf_core.Strategy.Duplicate nest in
+        let words = Obj.reachable_words (Obj.repr plan) in
+        check_bool (Printf.sprintf "%d words < 0.2M" words) true
+          (words < 200_000);
+        let renamed =
+          Cf_cache.Canon.rename ~index:(fun s -> s ^ "0")
+            ~array:(fun s -> "Z" ^ s) nest
+        in
+        let relabeled = Pipeline.relabel plan renamed in
+        let c = Ip.coset plan.Pipeline.partition
+        and c' = Ip.coset relabeled.Pipeline.partition in
+        check_bool "relabeled index over the caller's nest" true
+          (Cf_core.Coset.nest c' == renamed);
+        check_bool "relabel shares the index" true
+          (Cf_core.Coset.block c ~id:1 == Cf_core.Coset.block c' ~id:1);
+        let alone = Obj.reachable_words (Obj.repr plan.Pipeline.partition) in
+        let both =
+          Obj.reachable_words
+            (Obj.repr (plan.Pipeline.partition, relabeled.Pipeline.partition))
+        in
+        check_bool "relabel adds the renamed nest and one record" true
+          (both - alone <= Obj.reachable_words (Obj.repr renamed) + 32));
     Alcotest.test_case "custom basis is honoured" `Quick (fun () ->
         let plan =
           Pipeline.plan ~basis:[ [| 1; 1; 0 |]; [| -1; 0; 1 |] ] l4

@@ -656,6 +656,46 @@ let check_fallback_tier svc ~name ~strategy nest renamings =
     renamings;
   !planned
 
+(* A window for the two timing tests below that does not depend on how
+   fast the planner is: the smallest matmul whose fallback fill (the
+   exact plan already cached) takes at least 20 times as long as a plain
+   cached hit, and at least 20 ms so that a sleep of a tenth of it and a
+   thread wake-up stay well inside it on a loaded host; with that
+   fill's time, the fastest of three. *)
+let slow_fill =
+  lazy
+    (let fastest f =
+       List.fold_left min infinity
+         (List.init 3 (fun _ ->
+              let run = f () in
+              let t0 = Unix.gettimeofday () in
+              run ();
+              Unix.gettimeofday () -. t0))
+     in
+     let cached nest =
+       let planner = Planner.create () in
+       ignore (Planner.plan planner nest);
+       planner
+     in
+     let rec pick = function
+       | [] -> Alcotest.fail "no matmul fill takes 20 ms and 20x a cached hit"
+       | m :: rest ->
+         let nest = Cf_exec.Matmul.nest ~m in
+         let hit_s =
+           fastest (fun () ->
+               let planner = cached nest in
+               fun () -> ignore (Planner.plan planner nest))
+         in
+         let fill_s =
+           fastest (fun () ->
+               let planner = cached nest in
+               fun () -> ignore (Planner.plan ~serve:4 planner nest))
+         in
+         if fill_s >= 20. *. hit_s && fill_s >= 0.02 then (nest, fill_s)
+         else pick rest
+     in
+     pick [ 8; 12; 16; 20; 24; 32; 40; 48 ])
+
 let root =
   let exe_dir = Filename.dirname Sys.executable_name in
   Filename.concat (Filename.concat (Filename.concat exe_dir "..") "..") ".."
@@ -699,21 +739,19 @@ let fallback_cases =
         check_int "one fallback planned per rejected key" !rejected !planned;
         Service.shutdown svc);
     Alcotest.test_case "the queue covers fallback planning" `Quick (fun () ->
-        (* Theorem 1 rejects matmul; its fallback costs tens of ms while
-           the exact plan, cached first, costs nothing. *)
-        let nest = Cf_exec.Matmul.nest ~m:14 in
+        (* Theorem 1 rejects matmul; its fallback fill outlasts the
+           next job's whole timeout while the exact plan, cached first,
+           costs nothing. *)
+        let nest, fill_s = Lazy.force slow_fill in
         let svc = Service.create ~domains:1 () in
         (match Service.plan_one svc nest with
         | Service.Done c ->
           check_int "rejected" 0 (Pipeline.parallelism c.Service.plan)
         | o -> Alcotest.failf "warm-up: %a" Service.pp_outcome o);
-        let t0 = Unix.gettimeofday () in
-        ignore (M.plan ~nprocs:4 nest);
-        let fallback_s = Unix.gettimeofday () -. t0 in
         let slow = Service.submit ~serve:4 svc nest in
         check_bool "worker busy with the fallback" true
           (wait_until (fun () -> (Service.stats svc).Service.in_flight = 1));
-        let next = Service.submit ~timeout:(fallback_s /. 10.) svc l1 in
+        let next = Service.submit ~timeout:(fill_s /. 10.) svc l1 in
         (match Service.await slow with
         | Service.Done c ->
           check_bool "exact plan was a hit" true c.Service.cache_hit;
@@ -724,16 +762,13 @@ let fallback_cases =
         | Service.Timed_out -> ()
         | o ->
           Alcotest.failf "expected a timeout behind %.1fms of fallback, got %a"
-            (1e3 *. fallback_s) Service.pp_outcome o);
+            (1e3 *. fill_s) Service.pp_outcome o);
         Service.shutdown svc);
     Alcotest.test_case "a cached answer does not wait for a fallback fill"
       `Quick (fun () ->
         (* One domain fills matmul's fallback into its cached entry; a
            plain [plan] of the same key meanwhile is an immediate hit. *)
-        let nest = Cf_exec.Matmul.nest ~m:14 in
-        let t0 = Unix.gettimeofday () in
-        ignore (M.plan ~nprocs:4 nest);
-        let fallback_s = Unix.gettimeofday () -. t0 in
+        let nest, fill_s = Lazy.force slow_fill in
         let planner = Planner.create () in
         ignore (Planner.plan planner nest);
         let started = Atomic.make false and filled = Atomic.make false in
@@ -747,7 +782,7 @@ let fallback_cases =
         while not (Atomic.get started) do
           Domain.cpu_relax ()
         done;
-        Unix.sleepf (fallback_s /. 10.);
+        Unix.sleepf (fill_s /. 10.);
         let a = Planner.plan planner nest in
         let waited = Atomic.get filled in
         check_bool "the filler planned the fallback" true (Domain.join filler);

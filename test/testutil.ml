@@ -60,6 +60,44 @@ let all_paper_loops =
 let gen_nest = Cf_check.Gen.nest2
 let arbitrary_nest = Cf_check.Gen.arbitrary_nest2
 
+(* The second level's bounds shifted by the outer index: Gen nests are
+   rectangular, and partitions must be numbered over skewed spaces
+   too. *)
+let skew (n : Nest.t) =
+  let levels = n.Nest.levels in
+  if Array.length levels < 2 then n
+  else
+    let outer = Affine.var levels.(0).Nest.var in
+    let shift k (l : Nest.level) =
+      if k <> 1 then l
+      else
+        {
+          l with
+          Nest.lower = Affine.add l.Nest.lower outer;
+          upper = Affine.add l.Nest.upper outer;
+        }
+    in
+    Nest.make (Array.to_list (Array.mapi shift levels)) n.Nest.body
+
+(* Normal-form Gen nests of depth 1-3, and unnormalized ones after the
+   normalization front door, each possibly skewed. *)
+let mixed_nest =
+  let open QCheck.Gen in
+  int_range 1 3 >>= fun depth ->
+  let p = Cf_check.Gen.default ~depth in
+  bool >>= fun unnormalized ->
+  bool >>= fun skewed ->
+  map
+    (fun n -> if skewed then skew n else n)
+    (if unnormalized then
+       map
+         (fun n -> Cf_normalize.Normalize.((normalize n).normalized))
+         (Cf_check.Gen.unnormalized p)
+     else Cf_check.Gen.nest p)
+
+let arbitrary_mixed_nest =
+  QCheck.make ~print:(Format.asprintf "%a" Nest.pp) mixed_nest
+
 (* Wrap a qcheck test as an alcotest case. *)
 let qtest ?(count = 100) name prop arb =
   QCheck_alcotest.to_alcotest
